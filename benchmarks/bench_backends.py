@@ -3,7 +3,8 @@
 
 Runs the same exact workloads in subprocesses with BINRAM_BACKEND set, so
 each measurement uses a cleanly initialized backend, and prints a small
-table of wall-clock times and speedups.
+table of wall-clock times and speedups.  A backend that cannot be imported
+(gmpy2 is optional) is skipped with a printed note.
 
 Usage: python benchmarks/bench_backends.py [--n-max N] [--repeat R]
 """
@@ -16,10 +17,14 @@ import textwrap
 
 WORKLOADS = {
     "tail-sign scan": """
-        from binram.exactcore import p_diff_sign
+        from binram.exactcore import p_diff_signs
         for n in range(2, {n_max} + 1):
-            for b in range(1, n):
-                p_diff_sign(b, n)
+            p_diff_signs(n)
+    """,
+    "z-sign scan": """
+        from binram.exactcore import z_diff_signs
+        for n in range(2, {n_max} + 1):
+            z_diff_signs(n)
     """,
     "z evaluation": """
         from binram.exactcore import BinomialSpec, ramanujan_z
@@ -37,6 +42,19 @@ WORKLOADS = {
 }
 
 
+BACKENDS = ("gmpy2", "fractions")
+
+
+def backend_env(backend: str) -> dict:
+    return dict(os.environ, BINRAM_BACKEND=backend)
+
+
+def importable(backend: str) -> bool:
+    proc = subprocess.run([sys.executable, "-c", "import binram.backend"],
+                          capture_output=True, env=backend_env(backend))
+    return proc.returncode == 0
+
+
 def run_once(backend: str, body: str) -> float:
     script = textwrap.dedent(
         f"""
@@ -46,9 +64,9 @@ def run_once(backend: str, body: str) -> float:
         print(time.perf_counter() - t0)
         """
     )
-    env = dict(os.environ, BINRAM_BACKEND=backend)
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=backend_env(backend),
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{backend} workload failed:\n{proc.stderr}")
@@ -61,17 +79,19 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
+    backends = [b for b in BACKENDS if importable(b)]
+    for skipped in sorted(set(BACKENDS) - set(backends)):
+        print(f"note: backend {skipped} cannot be imported here; skipped")
     print(f"n_max = {args.n_max}, best of {args.repeat}\n")
-    print(f"{'workload':<20} {'gmpy2 (s)':>10} {'fractions (s)':>14} {'speedup':>8}")
+    print(f"{'workload':<20}" + "".join(f"{b + ' (s)':>16}" for b in backends)
+          + (f"{'speedup':>9}" if len(backends) == 2 else ""))
     for name, template in WORKLOADS.items():
         body = template.format(n_max=args.n_max)
-        times = {
-            backend: min(run_once(backend, body) for _ in range(args.repeat))
-            for backend in ("gmpy2", "fractions")
-        }
-        speedup = times["fractions"] / times["gmpy2"]
-        print(f"{name:<20} {times['gmpy2']:>10.3f} {times['fractions']:>14.3f} "
-              f"{speedup:>7.1f}x")
+        times = {b: min(run_once(b, body) for _ in range(args.repeat)) for b in backends}
+        line = f"{name:<20}" + "".join(f"{times[b]:>16.3f}" for b in backends)
+        if len(backends) == 2:
+            line += f"{times['fractions'] / times['gmpy2']:>8.1f}x"
+        print(line)
     return 0
 
 

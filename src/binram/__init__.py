@@ -16,9 +16,11 @@ from .exactcore import (
     exact_pmf,
     median_binomial,
     p_diff_sign,
+    p_diff_signs,
     ramanujan_z,
     tail_p,
     tail_value,
+    z_diff_signs,
     z_symmetry_check,
 )
 from .highprec import claim5_residual, theorem2_threshold, z_diff_sign, z_highprec

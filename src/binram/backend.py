@@ -38,9 +38,6 @@ else:
     BACKEND = "fractions"
 
 
-RatLike = object  # Rat | int; kept loose, both backends interoperate with int
-
-
 def as_rat(x) -> "Rat":
     """Coerce an int, backend rational, Fraction or 'p/q' string to Rat."""
     if isinstance(x, str):
@@ -49,20 +46,6 @@ def as_rat(x) -> "Rat":
             return Rat(int(num), int(den))
         return Rat(int(x))
     return Rat(x)
-
-
-def num(q) -> int:
-    return int(q.numerator)
-
-
-def den(q) -> int:
-    return int(q.denominator)
-
-
-def floor_div_pow10(q, digits: int):
-    """floor(q * 10**digits) as an int, exact."""
-    scale = 10**digits
-    return (q.numerator * scale) // q.denominator
 
 
 def decimal_str(q, digits: int = 24) -> str:

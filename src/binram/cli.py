@@ -24,8 +24,8 @@ from .certificates import (
     check_small_b,
     check_z_lowerbound,
 )
-from .exactcore import BinomialSpec, DomainError, p_diff_sign
-from .highprec import INCONCLUSIVE, theorem2_threshold, z_diff_sign
+from .exactcore import BinomialSpec, DomainError, p_diff_signs, z_diff_signs
+from .highprec import theorem2_threshold
 from .kernel import (
     ORACLE_MAX_N,
     DeltaCell,
@@ -177,48 +177,35 @@ def _meta(args, **extra) -> dict:
 # -- scans ----------------------------------------------------------------------
 
 
-def _scan_p_chunk(bounds):
-    n_lo, n_hi = bounds
-    rows = []
-    for n in range(n_lo, n_hi):
-        for b in range(1, n):
-            sign = p_diff_sign(b, n)
-            want = 1 if n >= 3 * b + 2 else -1
-            rows.append(["thm3", b, n, sign, sign == want])
-    return rows
+def _signs_by_n(row, n_max: int, workers: int) -> list:
+    """(n, row(n)) for n = 2..n_max in increasing n.
 
-
-def _chunks(lo: int, hi: int, workers: int):
-    span = max(1, (hi - lo + workers - 1) // workers)
-    return [(s, min(s + span, hi)) for s in range(lo, hi, span)]
+    The cost of a row grows steeply with n, so a pool gets one task per n,
+    largest first: no worker is left alone with the big rows at the end.
+    """
+    if n_max < 2:
+        raise DomainError(f"--n-max {n_max} leaves nothing to scan (need >= 2)")
+    if workers < 1:
+        raise DomainError(f"--workers must be >= 1, got {workers}")
+    ns = range(n_max, 1, -1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(row, ns))
+    else:
+        rows = [row(n) for n in ns]
+    return list(zip(ns, rows))[::-1]
 
 
 def cmd_scan_p(args) -> int:
     report = Report(meta=_meta(args, n_max=args.n_max), header=SCAN_P_HEADER)
-    bounds = _chunks(2, args.n_max + 1, max(1, args.workers))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            parts = list(pool.map(_scan_p_chunk, bounds))
-    else:
-        parts = [_scan_p_chunk(b) for b in bounds]
-    for rows in parts:
-        report.results.extend(rows)
-    for row in report.results:
-        if not row[4]:
-            report.violations.append(
-                ViolationReport.from_rationals("thm3", row[1], row[2], row[3],
-                                               1 if row[2] >= 3 * row[1] + 2 else -1)
-            )
+    for n, signs in _signs_by_n(p_diff_signs, args.n_max, args.workers):
+        for b, sign in enumerate(signs, start=1):
+            want = 1 if n >= 3 * b + 2 else -1
+            report.results.append(["thm3", b, n, sign, sign == want])
+            if sign != want:
+                report.violations.append(
+                    ViolationReport.from_rationals("thm3", b, n, sign, want))
     return _emit(report, args)
-
-
-def _scan_z_chunk(bounds):
-    n_lo, n_hi = bounds
-    rows = []
-    for n in range(n_lo, n_hi):
-        for b in range(1, n):
-            rows.append(["z-sign", b, n, z_diff_sign(b, n)])
-    return rows
 
 
 def cmd_scan_z(args) -> int:
@@ -226,15 +213,8 @@ def cmd_scan_z(args) -> int:
         raise ResourceError("scan-z is exact and guarded at n <= 2000")
     report = Report(meta=_meta(args, n_max=args.n_max),
                     header=["claim_id", "b", "n", "sign"])
-    bounds = _chunks(2, args.n_max + 1, max(1, args.workers))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            parts = list(pool.map(_scan_z_chunk, bounds))
-    else:
-        parts = [_scan_z_chunk(b) for b in bounds]
-    for rows in parts:
-        report.results.extend(rows)
-    report.inconclusive = sum(1 for row in report.results if row[3] == INCONCLUSIVE)
+    for n, signs in _signs_by_n(z_diff_signs, args.n_max, args.workers):
+        report.results.extend(["z-sign", b, n, sign] for b, sign in enumerate(signs, start=1))
     return _emit(report, args)
 
 
@@ -336,6 +316,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_poisson(args) -> int:
+    if args.b_max < 1:
+        raise DomainError(f"--b-max {args.b_max} leaves nothing to check (need >= 1)")
     policy = PrecisionPolicy(digits=args.digits, max_escalations=4)
     report = Report(
         meta=_meta(args, b_max=args.b_max, digits=args.digits),
@@ -442,16 +424,16 @@ def cmd_smalldev(args) -> int:
 def _load_report(path: str) -> Report:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    meta = doc.get("meta", {})
-    rows = doc.get("results", [])
-    header = meta.get("header") or (list(rows[0].keys()) if rows else CSV_HEADER)
-    report = Report(meta=meta, header=header)
-    report.results = [[row.get(key, "") for key in header] for row in rows]
-    report.violations = [
-        ViolationReport(**{k: v for k, v in item.items()})
-        for item in doc.get("violations", [])
-    ]
-    report.inconclusive = doc.get("inconclusive", 0)
+    try:
+        meta = doc.get("meta", {})
+        rows = doc.get("results", [])
+        header = meta.get("header") or (list(rows[0].keys()) if rows else CSV_HEADER)
+        report = Report(meta=meta, header=header)
+        report.results = [[row.get(key, "") for key in header] for row in rows]
+        report.violations = [ViolationReport(**item) for item in doc.get("violations", [])]
+        report.inconclusive = int(doc.get("inconclusive", 0))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a binram JSON report ({exc!r})") from None
     return report
 
 

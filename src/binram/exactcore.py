@@ -43,18 +43,32 @@ class TailValue:
     z: object
 
 
-def _pmf_numerators(b: int, n: int, upto: int) -> list:
-    """Integers N_i = C(n, i) * b**i * (n-b)**(n-i) for i = 0..upto.
-
-    pmf(i) = N_i / n**n.  Binomial coefficients advance by the ratio
-    recurrence, so the whole prefix costs O(upto) big-int multiplications.
-    """
-    c = 1  # C(n, i)
-    out = []
-    for i in range(upto + 1):
-        out.append(c * b**i * (n - b) ** (n - i))
-        c = c * (n - i) // (i + 1)
+def falling(x: int, k: int) -> int:
+    """The falling factorial x (x-1) ... (x-k+1)."""
+    out = 1
+    for j in range(k):
+        out *= x - j
     return out
+
+
+def tail_pmf_numerators(n: int, b: int, p: int, r: int) -> tuple:
+    """Integers (T, N) for X ~ Bin(n, p/r), with 0 <= p <= r and 0 <= b <= n:
+
+        T = sum_{i<b} C(n, i) p**i (r-p)**(n-i),    N = C(n, b) p**b (r-p)**(n-b),
+
+    so P(X < b) = T / r**n and P(X = b) = N / r**n.
+
+    Horner in s = r - p: acc = acc*s + t runs over t = C(n, i) p**i, and t
+    advances exactly, because C(n, i) (n-i) / (i+1) = C(n, i+1).  Each step
+    is a big-by-small product; the only big power is the closing s**(n-b).
+    """
+    s = r - p
+    acc, t = 0, 1
+    for i in range(b):
+        acc = acc * s + t
+        t = t * (n - i) // (i + 1) * p
+    top = s ** (n - b)
+    return acc * top * s, t * top
 
 
 def exact_pmf(spec: BinomialSpec, i: int):
@@ -67,8 +81,7 @@ def exact_pmf(spec: BinomialSpec, i: int):
 
 def tail_numerator(spec: BinomialSpec) -> int:
     """Integer T with P(X < b) = T / n**n."""
-    b, n = spec.b, spec.n
-    return sum(_pmf_numerators(b, n, b - 1))
+    return tail_pmf_numerators(spec.n, spec.b, spec.b, spec.n)[0]
 
 
 def tail_p(spec: BinomialSpec):
@@ -77,15 +90,12 @@ def tail_p(spec: BinomialSpec):
 
 
 def tail_value(spec: BinomialSpec) -> TailValue:
-    """Tail, pmf at b and z for one spec, sharing the pmf prefix."""
-    b, n = spec.b, spec.n
-    nums = _pmf_numerators(b, n, b)
-    t = sum(nums[:b])
+    """Tail, pmf at b and z for one spec, from one kernel call."""
+    n = spec.n
+    t, pmf = tail_pmf_numerators(n, spec.b, spec.b, n)
     scale = n**n
-    p = Rat(t, scale)
-    pmf = Rat(nums[b], scale)
-    z = Rat(scale - 2 * t, 2 * nums[b])
-    return TailValue(spec=spec, p=p, pmf_at_b=pmf, z=z)
+    return TailValue(spec=spec, p=Rat(t, scale), pmf_at_b=Rat(pmf, scale),
+                     z=Rat(scale - 2 * t, 2 * pmf))
 
 
 def ramanujan_z(spec: BinomialSpec):
@@ -107,17 +117,59 @@ def median_binomial(spec: BinomialSpec) -> int:
     raise AssertionError("cdf never reached 1/2")  # pragma: no cover
 
 
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _p_signs(n: int, b_lo: int, b_hi: int) -> list:
+    """Signs for b = b_lo..b_hi from the tails b_lo..b_hi+1, each computed once."""
+    tails = [tail_pmf_numerators(n, b, b, n)[0] for b in range(b_lo, b_hi + 2)]
+    return [_sign(hi - lo) for lo, hi in zip(tails, tails[1:])]
+
+
+def _z_signs(n: int, b_lo: int, b_hi: int) -> list:
+    """Signs for b = b_lo..b_hi from the tails b_lo..b_hi+1, each computed once.
+
+    z_b = u_b / (2 N_b) with u_b = n**n - 2 T_b and N_b > 0, so z_{b+1} - z_b
+    has the sign of u_{b+1} N_b - u_b N_{b+1}.
+    """
+    scale = n**n
+    row = [(scale - 2 * t, pmf)
+           for t, pmf in (tail_pmf_numerators(n, b, b, n) for b in range(b_lo, b_hi + 2))]
+    return [_sign(u1 * m0 - u0 * m1) for (u0, m0), (u1, m1) in zip(row, row[1:])]
+
+
+def _check_pair(b: int, n: int) -> None:
+    if not (1 <= b < n):
+        raise DomainError(f"need 1 <= b < n, got b={b}, n={n}")
+
+
 def p_diff_sign(b: int, n: int) -> int:
     """Exact sign of P(X' < b+1) - P(X < b) with X' ~ Bin(n, (b+1)/n).
 
     The sign flips at n = 3b + 2: +1 for n >= 3b+2, -1 for n <= 3b+1
     (verified exhaustively by the scan suites; this just computes the sign).
     """
-    if not (1 <= b < n):
-        raise DomainError(f"need 1 <= b < n, got b={b}, n={n}")
-    hi = tail_numerator(BinomialSpec(b + 1, n))
-    lo = tail_numerator(BinomialSpec(b, n))
-    return (hi > lo) - (hi < lo)
+    _check_pair(b, n)
+    return _p_signs(n, b, b)[0]
+
+
+def p_diff_signs(n: int) -> list:
+    """[p_diff_sign(b, n) for b in 1..n-1], computing each tail once."""
+    _check_pair(1, n)
+    return _p_signs(n, 1, n - 1)
+
+
+def z_diff_sign_exact(b: int, n: int) -> int:
+    """Exact sign of z(b+1, n) - z(b, n), by integer cross-multiplication."""
+    _check_pair(b, n)
+    return _z_signs(n, b, b)[0]
+
+
+def z_diff_signs(n: int) -> list:
+    """[z_diff_sign_exact(b, n) for b in 1..n-1], computing each tail once."""
+    _check_pair(1, n)
+    return _z_signs(n, 1, n - 1)
 
 
 def z_symmetry_check(b: int, n: int) -> bool:

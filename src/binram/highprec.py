@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 
-from .exactcore import BinomialSpec, DomainError, ramanujan_z
+from .exactcore import BinomialSpec, DomainError, z_diff_sign_exact
 from .precision import DEFAULT_POLICY, PrecisionError, PrecisionPolicy
 
 EXACT_CUTOFF = 2000  # big-rational evaluation stays sub-second below this n
@@ -47,12 +47,6 @@ def z_highprec(spec: BinomialSpec, policy: PrecisionPolicy = DEFAULT_POLICY):
         return +z, +err
 
 
-def _exact_sign(b: int, n: int) -> int:
-    hi = ramanujan_z(BinomialSpec(b + 1, n))
-    lo = ramanujan_z(BinomialSpec(b, n))
-    return (hi > lo) - (hi < lo)
-
-
 def z_diff_sign(
     b: int,
     n: int,
@@ -68,7 +62,7 @@ def z_diff_sign(
     if not (1 <= b < n):
         raise DomainError(f"need 1 <= b < n, got b={b}, n={n}")
     if n <= exact_cutoff:
-        return _exact_sign(b, n)
+        return z_diff_sign_exact(b, n)
 
     previous = None
     for digits in policy.escalation_digits():
@@ -141,7 +135,7 @@ def theorem2_threshold(
 
     Every b in [predicted/2, 2*predicted] is evaluated (no unimodality
     assumed); all sign changes are reported.  The upper flip comes from the
-    antisymmetry sign(b) = -sign(n-b-1) rather than a second scan.
+    symmetry sign(b) = sign(n-1-b) rather than a second scan.
     """
     if n < 10**4:
         raise DomainError("threshold scan intended for n >= 10**4")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .backend import Rat, as_rat
-from .exactcore import BinomialSpec, DomainError, ramanujan_z, tail_p
+from .exactcore import BinomialSpec, DomainError, falling, ramanujan_z, tail_p
 
 
 class ResourceError(RuntimeError):
@@ -95,13 +95,6 @@ def eval_g(spec: BinomialSpec, z):
     return (1 - z) ** (spec.b - 1) * z ** (spec.n - spec.b)
 
 
-def _falling(x: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= x - j
-    return out
-
-
 def _closed_form_inner_coeffs(spec: BinomialSpec, order: int) -> list:
     """Coefficients of z**(order-i), i = 0..order, in the derivative formula."""
     b, n = spec.b, spec.n
@@ -110,8 +103,8 @@ def _closed_form_inner_coeffs(spec: BinomialSpec, order: int) -> list:
         c = (
             math.comb(order, i)
             * (-1) ** (order - i)
-            * _falling(n - 1 - i, order - i)
-            * _falling(n - b, i)
+            * falling(n - 1 - i, order - i)
+            * falling(n - b, i)
         )
         out.append(c)
     return out
@@ -189,16 +182,25 @@ def derivative_value(spec: BinomialSpec, order: int, z):
 
 
 def integral_from_zero(spec: BinomialSpec, u):
-    """Exact integral of the kernel over [0, u]."""
+    """Exact integral of the kernel over [0, u].
+
+    Termwise it is sum_j (-1)**j C(b-1, j) u**k / k with k = n-b+1+j.  With
+    u = p/q and L = lcm(n-b+1, ..., n), the sum is p**(n-b+1) / (L q**n)
+    times the integer sum_j c_j p**j q**(b-1-j), c_j = (-1)**j C(b-1, j) L/k,
+    which is built by Horner in q, so only the final fraction is reduced.
+    """
     u = as_rat(u)
     if not (0 <= u <= 1):
         raise DomainError("upper limit outside [0, 1]")
     b, n = spec.b, spec.n
-    acc = Rat(0)
+    p, q = int(u.numerator), int(u.denominator)
+    lcm = math.lcm(*range(n - b + 1, n + 1))
+    acc, c, p_j = 0, 1, 1  # c = (-1)**j C(b-1, j), p_j = p**j
     for j in range(b):
-        k = n - b + j + 1
-        acc += Rat((-1) ** j * math.comb(b - 1, j), k) * u**k
-    return acc
+        acc = acc * q + c * (lcm // (n - b + 1 + j)) * p_j
+        c = -c * (b - 1 - j) // (j + 1)
+        p_j *= p
+    return Rat(acc * p ** (n - b + 1), lcm * q**n)
 
 
 def full_integral(spec: BinomialSpec):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .backend import Rat
-from .exactcore import DomainError
+from .exactcore import DomainError, falling
 from .intervals import IntervalValue, exp_neg_enclosure, sqrt_enclosure, terms_for_digits
 from .precision import DEFAULT_POLICY, PrecisionError, PrecisionPolicy
 
@@ -180,7 +180,7 @@ def factorial_moment_identity(b: int, s: int) -> bool:
         if i > 0:
             power = power * b // i
         if i >= s:
-            lhs += power * _falling(i, s)
+            lhs += power * falling(i, s)
     rhs = 0
     power = fact_top
     for i in range(b - s):
@@ -189,13 +189,6 @@ def factorial_moment_identity(b: int, s: int) -> bool:
         rhs += power
     rhs *= b**s
     return lhs == rhs
-
-
-def _falling(x: int, s: int) -> int:
-    out = 1
-    for j in range(s):
-        out *= x - j
-    return out
 
 
 def truncated_moment(
@@ -233,4 +226,4 @@ def falling_factorial_sum(k: int, s: int) -> int:
     """Exact sum_{i=0}^{k} (-1)**i C(k, i) i^(s); vanishes whenever s < k."""
     if k < 0 or s < 0:
         raise DomainError("k and s must be >= 0")
-    return sum((-1) ** i * math.comb(k, i) * _falling(i, s) for i in range(k + 1))
+    return sum((-1) ** i * math.comb(k, i) * falling(i, s) for i in range(k + 1))

@@ -111,6 +111,20 @@ class Report:
         os.replace(tmp, path)
 
 
+def _order(x) -> tuple:
+    """Sort key of one field: integers by value, before anything else as text."""
+    try:
+        return (0, int(x), "")
+    except (TypeError, ValueError):
+        return (1, 0, str(x))
+
+
+def _row_key(header: list):
+    """(claim_id, n, b) where the header has them, then the whole row as text."""
+    lead = [header.index(col) for col in ("claim_id", "n", "b") if col in header]
+    return lambda row: tuple(_order(row[i]) for i in lead) + tuple(str(x) for x in row)
+
+
 def merge_reports(reports: list) -> Report:
     """Deterministic merge: rows sorted by (claim_id, n, b) where available."""
     if not reports:
@@ -124,6 +138,6 @@ def merge_reports(reports: list) -> Report:
         rows.extend(rep.results)
         merged.violations.extend(rep.violations)
         merged.inconclusive += rep.inconclusive
-    merged.results = sorted(rows, key=lambda r: tuple(str(x) for x in r))
-    merged.violations.sort(key=lambda v: (v.claim_id, v.n, v.b))
+    merged.results = sorted(rows, key=_row_key(header))
+    merged.violations.sort(key=lambda v: (_order(v.claim_id), _order(v.n), _order(v.b)))
     return merged

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backend import Rat, as_rat
-from .exactcore import DomainError
+from .exactcore import DomainError, tail_pmf_numerators
 from .report import ViolationReport
 
 
@@ -61,15 +61,8 @@ def binomial_tail_below(n: int, q, b: int):
         return Rat(0)
     if b > n:
         return Rat(1)
-    if q == 1:
-        return Rat(0)
-    acc = Rat(0)
-    term = (1 - q) ** n  # P(Bin = 0)
-    one_minus = 1 - q
-    for i in range(b):
-        acc += term
-        term = term * (n - i) * q / ((i + 1) * one_minus)
-    return acc
+    r = int(q.denominator)
+    return Rat(tail_pmf_numerators(n, b, int(q.numerator), r)[0], r**n)
 
 
 def tilde_p(spec: SmallDevSpec):
@@ -143,6 +136,7 @@ def conjecture_scan(n: int, grid_step) -> ConjectureScanResult:
     if step > Rat(1, 10):
         raise DomainError("grid_step must be <= 1/10")
     result = ConjectureScanResult(n=n, grid_step=step)
+    refs = {b: tilde_p(SmallDevSpec(1, b, n)) for b in range(1, n + 1)}
     alpha = Rat(0)
     while alpha < 1:
         beta = 1 + step
@@ -154,7 +148,7 @@ def conjecture_scan(n: int, grid_step) -> ConjectureScanResult:
                 result.degenerate_points += 1
                 beta += step
                 continue
-            ref = tilde_p(SmallDevSpec(1, b, n))
+            ref = refs[b]
             if p < ref:
                 result.violations.append(
                     ViolationReport.from_rationals(

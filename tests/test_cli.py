@@ -61,6 +61,38 @@ def test_violation_exit_one(capsys):
     assert "eq-medium_b_ineq" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan-p", "--n-max", "1"],
+    ["scan-p", "--n-max", "-5"],
+    ["scan-z", "--n-max", "1"],
+    ["poisson", "--b-max", "0"],
+    ["scan-p", "--n-max", "10", "--workers", "0"],
+    ["scan-z", "--n-max", "10", "--workers", "-2"],
+])
+def test_vacuous_runs_and_bad_workers_are_usage_errors(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("binram: ")
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"results": [], "violations": [{"claim_id": "x", "bogus": 1}]},
+    {"results": [["thm3", 1, 2]]},
+    {"results": [], "violations": [], "inconclusive": "some"},
+])
+def test_report_merge_rejects_malformed_input(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["report-merge", str(path)])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith(f"binram: {path}: not a binram JSON report")
+    assert err.count("\n") == 1
+
+
 def test_bad_grid_step_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["smalldev", "conjecture", "--grid-step", "nonsense"])
@@ -159,6 +191,8 @@ def test_report_merge_round_trip(tmp_path, capsys):
     nb = len(json.loads(b.read_text())["results"])
     assert len(doc["results"]) == na + nb
     assert doc["meta"]["merged"] == 2
+    keys = [(r["claim_id"], r["n"], r["b"]) for r in doc["results"]]
+    assert keys == sorted(keys)
 
 
 # -- backend equivalence ------------------------------------------------------

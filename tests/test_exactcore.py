@@ -13,9 +13,12 @@ from binram.exactcore import (
     exact_pmf,
     median_binomial,
     p_diff_sign,
+    p_diff_signs,
     ramanujan_z,
     tail_p,
     tail_value,
+    z_diff_sign_exact,
+    z_diff_signs,
     z_symmetry_check,
 )
 
@@ -90,6 +93,29 @@ def test_p_diff_sign_matches_oracle():
             rhs = oracle_tail(b, n)
             want = (lhs > rhs) - (lhs < rhs)
             assert p_diff_sign(b, n) == want
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_per_n_rows_match_oracle_signs():
+    for n in range(2, 61):
+        tails = [oracle_tail(b, n) for b in range(1, n + 1)]
+        zs = [(Fraction(1, 2) - t) / oracle_pmf(b, n, b) for b, t in enumerate(tails, 1)]
+        assert p_diff_signs(n) == [_sign(hi - lo) for lo, hi in zip(tails, tails[1:])]
+        assert z_diff_signs(n) == [_sign(hi - lo) for lo, hi in zip(zs, zs[1:])]
+
+
+def test_per_pair_wrappers_match_rows():
+    for n in (2, 9, 17):
+        assert [p_diff_sign(b, n) for b in range(1, n)] == p_diff_signs(n)
+        assert [z_diff_sign_exact(b, n) for b in range(1, n)] == z_diff_signs(n)
+    for fn in (p_diff_signs, z_diff_signs):
+        with pytest.raises(DomainError):
+            fn(1)
+    with pytest.raises(DomainError):
+        z_diff_sign_exact(3, 3)
 
 
 def test_p_diff_boundary_examples():

@@ -135,6 +135,27 @@ def test_integral_matches_sympy(b, n):
     )
 
 
+def termwise_integral(b: int, n: int, u: Fraction) -> Fraction:
+    """Integral of the kernel over [0, u], one Fraction term at a time."""
+    return sum(
+        Fraction((-1) ** j * math.comb(b - 1, j), n - b + j + 1) * u ** (n - b + j + 1)
+        for j in range(b)
+    )
+
+
+def test_integral_matches_termwise_fraction_sum():
+    for n in range(1, 61):
+        for b in range(1, n + 1):
+            spec = BinomialSpec(b, n)
+            points = [Fraction(0), Fraction(1), Fraction(1, 3)]
+            if b < n:
+                points += [Fraction(n - b - 1, n), Fraction(n - b, n)]
+            for u in points:
+                got = integral_from_zero(spec, Rat(u.numerator, u.denominator))
+                assert Fraction(int(got.numerator), int(got.denominator)) == \
+                    termwise_integral(b, n, u)
+
+
 def test_signed_split_consistency():
     spec = BinomialSpec(4, 11)
     u = Rat(3, 7)

@@ -67,6 +67,26 @@ def test_merge_sorts_and_counts():
     assert merged.meta["merged"] == 2
 
 
+def test_merge_orders_n_and_b_numerically():
+    a = make_report([["c", 1, 10, 1], ["c", 10, 11, 1]])
+    b = make_report([["c", 9, 10, -1], ["c", 1, 2, 1], ["a", 2, 10, 1]])
+    merged = merge_reports([a, b])
+    assert [tuple(r) for r in merged.results] == [
+        ("a", 2, 10, 1), ("c", 1, 2, 1), ("c", 1, 10, 1), ("c", 9, 10, -1),
+        ("c", 10, 11, 1),
+    ]
+
+
+def test_merge_orders_violations_with_mixed_field_types():
+    # fields read back from a hand-edited report need not be integers
+    odd = ViolationReport("c", "x", "y", "0", "1", "0/1", "1/1")
+    v10 = ViolationReport.from_rationals("c", 1, 10, Rat(0), Rat(1))
+    v2 = ViolationReport.from_rationals("c", 1, 2, Rat(0), Rat(1))
+    merged = merge_reports([make_report([], violations=[odd, v10]),
+                            make_report([], violations=[v2])])
+    assert merged.violations == [v2, v10, odd]
+
+
 def test_merge_rejects_mismatched_schemas():
     a = make_report([])
     b = Report(meta={}, header=CSV_HEADER)

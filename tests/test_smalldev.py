@@ -98,6 +98,19 @@ def test_binomial_tail_below_edges():
     assert to_frac(binomial_tail_below(9, Rat(2, 7), 4)) == want
 
 
+def test_binomial_tail_below_matches_comb_sum():
+    for n in range(0, 41):
+        for q in (Fraction(0), Fraction(1, 2), Fraction(3, 7), Fraction(n, n + 1), Fraction(1)):
+            for b in range(-1, n + 3):
+                want = sum(
+                    (Fraction(math.comb(n, i)) * q**i * (1 - q) ** (n - i)
+                     for i in range(min(max(b, 0), n + 1))),
+                    Fraction(0),
+                )
+                got = binomial_tail_below(n, Rat(q.numerator, q.denominator), b)
+                assert to_frac(got) == want, (n, q, b)
+
+
 def test_tilde_p_values():
     # tp(1, 1, n) = P(Bin(n, 1/(n+1)) = 0) = (n/(n+1))**n
     for n in (2, 5, 10):
