@@ -46,7 +46,7 @@ from .kernel import (
 from .poisson import (
     PoissonSummary,
     alpha_beta,
-    beta_sharpness_identity,
+    beta_meets_upper_bound,
     beta_upper_bound,
     factorial_moment_identity,
     falling_factorial_sum,

@@ -37,7 +37,7 @@ from .kernel import (
     verify_claim1,
 )
 from .poisson import (
-    beta_sharpness_identity,
+    beta_meets_upper_bound,
     beta_upper_bound,
     factorial_moment_identity,
     falling_factorial_sum,
@@ -348,13 +348,7 @@ def cmd_poisson(args) -> int:
         if not s.beta.lo > Rat(-1, 3):
             report.violations.append(ViolationReport.from_rationals(
                 "poisson-beta-range", b, b, s.beta.lo, Rat(-1, 3)))
-        # upper bound -1 + 4/sqrt(21(368-135e)); attained exactly at b = 1,
-        # where it reduces to an exact algebraic identity
-        if b == 1:
-            if not beta_sharpness_identity():
-                report.violations.append(ViolationReport.from_rationals(
-                    "poisson-beta-range", b, b, s.beta.hi, beta_upper.hi))
-        elif not s.beta.hi < beta_upper.lo:
+        if not beta_meets_upper_bound(b, s.beta, beta_upper):
             report.violations.append(ViolationReport.from_rationals(
                 "poisson-beta-range", b, b, s.beta.hi, beta_upper.lo))
         prev_y, prev_alpha = s.y, s.alpha

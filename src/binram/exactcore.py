@@ -51,24 +51,33 @@ def falling(x: int, k: int) -> int:
     return out
 
 
-def tail_pmf_numerators(n: int, b: int, p: int, r: int) -> tuple:
-    """Integers (T, N) for X ~ Bin(n, p/r), with 0 <= p <= r and 0 <= b <= n:
+def tail_pmf_head(n: int, b: int, p: int, r: int) -> tuple:
+    """Integers (A, t) with T = A s**(n-b) and N = t s**(n-b), s = r - p,
+    for the numerators T, N of :func:`tail_pmf_numerators`.
 
-        T = sum_{i<b} C(n, i) p**i (r-p)**(n-i),    N = C(n, b) p**b (r-p)**(n-b),
-
-    so P(X < b) = T / r**n and P(X = b) = N / r**n.
-
-    Horner in s = r - p: acc = acc*s + t runs over t = C(n, i) p**i, and t
-    advances exactly, because C(n, i) (n-i) / (i+1) = C(n, i+1).  Each step
-    is a big-by-small product; the only big power is the closing s**(n-b).
+    Horner in s: acc = acc*s + t runs over t = C(n, i) p**i, and t advances
+    exactly, because C(n, i) (n-i) / (i+1) = C(n, i+1).  Each step is a
+    big-by-small product; A = acc*s and t = C(n, b) p**b on exit.
     """
     s = r - p
     acc, t = 0, 1
     for i in range(b):
         acc = acc * s + t
         t = t * (n - i) // (i + 1) * p
-    top = s ** (n - b)
-    return acc * top * s, t * top
+    return acc * s, t
+
+
+def tail_pmf_numerators(n: int, b: int, p: int, r: int) -> tuple:
+    """Integers (T, N) for X ~ Bin(n, p/r), with 0 <= p <= r and 0 <= b <= n:
+
+        T = sum_{i<b} C(n, i) p**i (r-p)**(n-i),    N = C(n, b) p**b (r-p)**(n-b),
+
+    so P(X < b) = T / r**n and P(X = b) = N / r**n.  The head from
+    :func:`tail_pmf_head` times the one big power (r-p)**(n-b).
+    """
+    head, t = tail_pmf_head(n, b, p, r)
+    top = (r - p) ** (n - b)
+    return head * top, t * top
 
 
 def exact_pmf(spec: BinomialSpec, i: int):
@@ -106,14 +115,16 @@ def ramanujan_z(spec: BinomialSpec):
 def median_binomial(spec: BinomialSpec) -> int:
     """Smallest m with P(X <= m) >= 1/2 (always equals b for Bin(n, b/n))."""
     b, n = spec.b, spec.n
+    s = n - b
+    if s == 0:
+        return n  # X = n surely
     scale = n**n
-    acc = 0
-    c = 1
+    acc, term = 0, s**n  # term = C(n, i) b**i s**(n-i), advanced exactly
     for i in range(n + 1):
-        acc += c * b**i * (n - b) ** (n - i)
+        acc += term
         if 2 * acc >= scale:
             return i
-        c = c * (n - i) // (i + 1)
+        term = term * (n - i) * b // ((i + 1) * s)
     raise AssertionError("cdf never reached 1/2")  # pragma: no cover
 
 

@@ -1,12 +1,18 @@
-"""High-precision floating evaluation with a sign-stability contract.
+"""Certified rational enclosures of z(b, n) for n beyond exact arithmetic.
 
 Exact rational arithmetic becomes too expensive for n in the hundreds of
-thousands, so the threshold scans run on mpmath arbitrary-precision floats.
-Nothing here is trusted blindly: every value carries a conservative forward
-error bound, and a sign is only accepted when two successive precision
-escalations agree and the magnitude clears an explicit guard.  Below the
-exact cutoff the sign is delegated to the exact path, so a float sign can
-never silently contradict exact arithmetic there.
+thousands, because P(X < b) and P(X = b) carry the common factor
+(n-b)**(n-b) / n**n.  Cancelling it leaves
+
+    z(b, n) = (W - 2 A) / (2 t),    W = n**n / (n-b)**(n-b),
+
+with the integers A and t from the exact kernel head
+(:func:`exactcore.tail_pmf_head`).  Only W is not exact: it is enclosed by
+``mpmath.iv``, whose power and division round outward, and its endpoints are
+converted to exact rationals.  So every z is an interval that contains the
+true value, and a sign is accepted only when an enclosed difference excludes
+0; more digits only narrow the enclosures.  Below the exact cutoff the sign
+is delegated to the exact path.
 """
 
 from __future__ import annotations
@@ -14,8 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import mpmath
+from mpmath import iv, libmp
 
-from .exactcore import BinomialSpec, DomainError, z_diff_sign_exact
+from .backend import Rat
+from .exactcore import BinomialSpec, DomainError, tail_pmf_head, z_diff_sign_exact
+from .intervals import IntervalValue
 from .precision import DEFAULT_POLICY, PrecisionError, PrecisionPolicy
 
 EXACT_CUTOFF = 2000  # big-rational evaluation stays sub-second below this n
@@ -23,28 +32,49 @@ EXACT_CUTOFF = 2000  # big-rational evaluation stays sub-second below this n
 INCONCLUSIVE = "inconclusive"
 
 
-def z_highprec(spec: BinomialSpec, policy: PrecisionPolicy = DEFAULT_POLICY):
-    """Approximate z(b, n) with a conservative forward error bound.
+def z_highprec(spec: BinomialSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue:
+    """Rational enclosure of z(b, n), with W enclosed at policy.digits digits.
 
-    Returns (value, err) as mpmath floats computed at policy.digits decimal
-    digits; the exact value lies within [value - err, value + err].
+    Its width is about 10**-policy.digits / P(X = b).
     """
     b, n = spec.b, spec.n
-    if b == n:
-        return mpmath.mpf("0.5"), mpmath.mpf(0)
-    with mpmath.workdps(policy.digits):
-        t = (mpmath.mpf(n - b) / n) ** n  # P(X = 0)
-        ratio = mpmath.mpf(b) / (n - b)
-        p = mpmath.mpf(0)
-        for i in range(b):
-            p += t
-            t = t * (n - i) / (i + 1) * ratio
-        pmf = t  # P(X = b)
-        z = (mpmath.mpf("0.5") - p) / pmf
-        # ~n ops for the initial power, ~3b for the loop, slack for the rest
-        unit = mpmath.mpf(10) ** (1 - policy.digits)
-        err = (n + 3 * b + 10) * unit * ((mpmath.mpf("0.5") + p) / pmf + abs(z))
-        return +z, +err
+    head, t = tail_pmf_head(n, b, b, n)
+    saved = iv.prec
+    iv.dps = policy.digits
+    try:
+        w = iv.mpf(n) ** n / iv.mpf(n - b) ** (n - b)
+    finally:
+        iv.prec = saved
+    lo, hi = (Rat(*libmp.to_rational(end)) for end in w._mpi_)
+    return IntervalValue((lo - 2 * head) / (2 * t), (hi - 2 * head) / (2 * t))
+
+
+def _enclosed_signs(n: int, b_lo: int, b_hi: int, policy: PrecisionPolicy) -> list:
+    """Signs of z(b+1, n) - z(b, n) for b = b_lo..b_hi, one z enclosure per b.
+
+    A sign is accepted only when the enclosures certify it: -1 or +1 when
+    they are disjoint, 0 when both are the same single point.  Only the
+    other pairs are evaluated again, at doubled digits, up to
+    policy.max_escalations times; a pair still overlapping is INCONCLUSIVE.
+    """
+    signs = {}
+    pending = list(range(b_lo, b_hi + 1))
+    for digits in policy.escalation_digits():
+        sub = PrecisionPolicy(digits=digits)
+        zs = {b: z_highprec(BinomialSpec(b, n), sub)
+              for b in sorted({c for b in pending for c in (b, b + 1)})}
+        for b in pending:
+            z0, z1 = zs[b], zs[b + 1]
+            if z1.strictly_above(z0):
+                signs[b] = 1
+            elif z1.strictly_below(z0):
+                signs[b] = -1
+            elif z1 == z0 and z0.width() == 0:  # two equal exact values: z(1, 2) = z(2, 2)
+                signs[b] = 0
+        pending = [b for b in pending if b not in signs]
+        if not pending:
+            break
+    return [signs.get(b, INCONCLUSIVE) for b in range(b_lo, b_hi + 1)]
 
 
 def z_diff_sign(
@@ -55,35 +85,14 @@ def z_diff_sign(
 ):
     """Sign of z(b+1, n) - z(b, n): -1, 0, +1, or "inconclusive".
 
-    Exact below the cutoff.  Above it, a sign is returned only when two
-    consecutive precision doublings agree, the difference exceeds the summed
-    error bounds, and its magnitude clears the policy guard.
+    Exact at n <= exact_cutoff; above it, certified from the enclosures of
+    z(b, n) and z(b+1, n) as in the threshold scan.
     """
     if not (1 <= b < n):
         raise DomainError(f"need 1 <= b < n, got b={b}, n={n}")
     if n <= exact_cutoff:
         return z_diff_sign_exact(b, n)
-
-    previous = None
-    for digits in policy.escalation_digits():
-        sub = PrecisionPolicy(
-            digits=digits,
-            max_escalations=1,
-            guard_exponent=policy.guard_exponent,
-        )
-        z_lo, err_lo = z_highprec(BinomialSpec(b, n), sub)
-        z_hi, err_hi = z_highprec(BinomialSpec(b + 1, n), sub)
-        diff = z_hi - z_lo
-        err = err_lo + err_hi
-        guard = mpmath.mpf(10) ** (-digits / policy.guard_exponent)
-        if abs(diff) > err and abs(diff) > guard:
-            candidate = 1 if diff > 0 else -1
-            if candidate == previous:
-                return candidate
-            previous = candidate
-        else:
-            previous = None
-    return INCONCLUSIVE
+    return _enclosed_signs(n, b, b, policy)[0]
 
 
 def claim5_residual(
@@ -91,26 +100,21 @@ def claim5_residual(
 ) -> "mpmath.mpf":
     """z(b, n) minus its three-term expansion 1/3 + 4/(135 b) + b/(3 n).
 
-    Requires n > 10 b**2 so the expansion's regime applies; escalates until
-    the error bound is at most a tenth of the residual.
+    Requires n > 10 b**2 so the expansion's regime applies.  The expansion is
+    exact, so the residual is enclosed as tightly as z; digits double until
+    the enclosure is at most a tenth of the residual wide, and its midpoint
+    is returned.
     """
     if n < 10 * b * b:
         raise DomainError("expansion regime requires n >= 10 b**2")
+    expansion = Rat(1, 3) + Rat(4, 135 * b) + Rat(b, 3 * n)
     for digits in policy.escalation_digits():
-        sub = PrecisionPolicy(
-            digits=digits, max_escalations=1, guard_exponent=policy.guard_exponent
-        )
-        z, err = z_highprec(BinomialSpec(b, n), sub)
-        with mpmath.workdps(digits):
-            expansion = (
-                mpmath.mpf(1) / 3
-                + mpmath.mpf(4) / (135 * b)
-                + mpmath.mpf(b) / (3 * n)
-            )
-            residual = z - expansion
-        if abs(residual) > 10 * err:
-            return residual
-    raise PrecisionError(f"residual at (b={b}, n={n}) stayed below the error bound")
+        residual = z_highprec(BinomialSpec(b, n), PrecisionPolicy(digits=digits)) - expansion
+        mid = residual.midpoint()
+        if 10 * residual.width() < abs(mid):
+            with mpmath.workdps(digits):
+                return mpmath.mpf(mid.numerator) / mid.denominator
+    raise PrecisionError(f"residual at (b={b}, n={n}) stayed below the enclosure width")
 
 
 @dataclass
@@ -134,8 +138,9 @@ def theorem2_threshold(
     """Scan a window around sqrt(77 n / 360) for the lower sign flip.
 
     Every b in [predicted/2, 2*predicted] is evaluated (no unimodality
-    assumed); all sign changes are reported.  The upper flip comes from the
-    symmetry sign(b) = sign(n-1-b) rather than a second scan.
+    assumed), from one enclosure of z per b; all sign changes are reported.
+    The upper flip comes from the symmetry sign(b) = sign(n-1-b) rather than
+    a second scan.
     """
     if n < 10**4:
         raise DomainError("threshold scan intended for n >= 10**4")
@@ -143,23 +148,17 @@ def theorem2_threshold(
     lo = max(1, int(predicted / 2))
     hi = min(n - 1, int(2 * predicted) + 1)
 
-    signs = {}
-    inconclusive = []
-    for b in range(lo, hi + 1):
-        s = z_diff_sign(b, n, policy)
-        if s == INCONCLUSIVE:
-            inconclusive.append(b)
-        signs[b] = s
+    signs = list(zip(range(lo, hi + 1), _enclosed_signs(n, lo, hi, policy)))
+    inconclusive = [b for b, s in signs if s == INCONCLUSIVE]
 
     changes = []
-    prev_b, prev_s = None, None
-    for b in range(lo, hi + 1):
-        s = signs[b]
+    prev_s = None
+    for b, s in signs:
         if s == INCONCLUSIVE:
             continue
         if prev_s is not None and s != prev_s:
             changes.append((b, prev_s, s))
-        prev_b, prev_s = b, s
+        prev_s = s
 
     b_star_low = next((b for b, before, after in changes if before == -1 and after == 1), 0)
     b_star_high = n - 1 - b_star_low if b_star_low else 0

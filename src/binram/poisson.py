@@ -92,10 +92,7 @@ def alpha_beta(b: int, policy: PrecisionPolicy = DEFAULT_POLICY):
     """
     last_exc = None
     for digits in policy.escalation_digits():
-        sub = PrecisionPolicy(
-            digits=digits, max_escalations=1, guard_exponent=policy.guard_exponent
-        )
-        y = y_poisson(b, sub)
+        y = y_poisson(b, PrecisionPolicy(digits=digits, max_escalations=1))
         try:
             alpha = 4 / ((y - Rat(1, 3)) * 135) - b
             squared = 8 / ((Rat(4, 135 * b) + Rat(1, 3) - y) * 2835)
@@ -114,18 +111,16 @@ def alpha_beta(b: int, policy: PrecisionPolicy = DEFAULT_POLICY):
     raise PrecisionError(f"alpha/beta for b={b}: denominator stayed inconclusive") from last_exc
 
 
-def beta_sharpness_identity() -> bool:
-    """Exact algebraic fact behind beta(1) attaining the upper bound:
-    with y(1) = e/2 - 1, the defining quantity 4/135 + 1/3 - y(1) equals
-    (368 - 135e)/270, so beta(1) = -1 + 4/sqrt(21(368 - 135e)) identically.
-    Verified on the rational coefficients (the e terms match by construction).
+def beta_meets_upper_bound(b: int, beta: IntervalValue, bound: IntervalValue) -> bool:
+    """Check an enclosure of beta(b) against one of the sharp upper bound
+    -1 + 4/sqrt(21(368 - 135e)).
+
+    beta(1) equals the bound, so at b = 1 the two enclosures must overlap,
+    which they do whenever both are rigorous; every b >= 2 lies strictly below.
     """
-    # y(1) = (1/2 - S e^-1)/(T e^-1) with S = tail_weight(1), T = pmf_weight(1)
-    if not (tail_weight(1) == 1 and pmf_weight(1) == 1):
-        return False
-    # 4/135 + 1/3 - (e/2 - 1) = (368 - 135e)/270: compare rational parts
-    const_part = Rat(4, 135) + Rat(1, 3) + 1
-    return const_part == Rat(368, 270) and Rat(1, 2) == Rat(135, 270)
+    if b == 1:
+        return beta.lo <= bound.hi and bound.lo <= beta.hi
+    return beta.hi < bound.lo
 
 
 def beta_upper_bound(digits: int = 40) -> IntervalValue:

@@ -1,4 +1,9 @@
-"""Precision policy shared by the enclosure and high-precision paths."""
+"""Precision policy shared by the Poisson and binomial enclosure paths.
+
+Every result those paths accept rests on a certified enclosure, so the policy
+only sets how much work to spend: the digits of the first attempt and how
+often they may double before a result is reported inconclusive.
+"""
 
 from __future__ import annotations
 
@@ -11,24 +16,20 @@ class PrecisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Working-precision budget with a sign-stability guard.
+    """Working-precision budget.
 
     digits: working decimal precision of the first attempt.
     max_escalations: how many times precision may double before giving up.
-    guard_exponent: a sign is accepted only if |value| > 10**(-digits/guard_exponent).
     """
 
     digits: int = 60
     max_escalations: int = 4
-    guard_exponent: int = 2
 
     def __post_init__(self):
         if self.digits < 30:
             raise ValueError("digits must be >= 30")
         if self.max_escalations < 1:
             raise ValueError("max_escalations must be >= 1")
-        if self.guard_exponent < 2:
-            raise ValueError("guard_exponent must be >= 2")
 
     def escalation_digits(self):
         """Yield the digit counts of successive attempts: d, 2d, 4d, ..."""

@@ -30,7 +30,7 @@ from binram.certificates import (
     check_root_bounds,
     check_small_b,
 )
-from binram.exactcore import BinomialSpec, p_diff_sign, ramanujan_z, tail_numerator
+from binram.exactcore import BinomialSpec, p_diff_signs, ramanujan_z, tail_numerator
 from binram.highprec import claim5_residual, theorem2_threshold
 from binram.kernel import (
     DeltaCell,
@@ -42,7 +42,7 @@ from binram.kernel import (
 )
 from binram.poisson import (
     alpha_beta,
-    beta_sharpness_identity,
+    beta_meets_upper_bound,
     beta_upper_bound,
     factorial_moment_identity,
     falling_factorial_sum,
@@ -71,9 +71,9 @@ def test_criterion_01_tail_difference_boundary():
     for all 1 <= b < n <= 300."""
     bad = []
     for n in range(2, 301):
-        for b in range(1, n):
+        for b, got in enumerate(p_diff_signs(n), start=1):
             want = 1 if n >= 3 * b + 2 else -1
-            if p_diff_sign(b, n) != want:
+            if got != want:
                 bad.append((b, n))
     report(1, "tail-difference boundary", not bad, f"{len(bad)} mismatches")
 
@@ -203,10 +203,7 @@ def test_criterion_07_poisson_enclosures():
             bad.append(("alpha-monotone", b))
         if not beta.lo > Rat(-1, 3):
             bad.append(("beta-low", b))
-        if b == 1:
-            if not beta_sharpness_identity():
-                bad.append(("beta-sharp", b))
-        elif not beta.hi < ub.lo:
+        if not beta_meets_upper_bound(b, beta, ub):
             bad.append(("beta-high", b))
         prev_y, prev_a = y, alpha
     report(7, "poisson enclosure suite", not bad, f"{len(bad)} failures")

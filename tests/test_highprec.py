@@ -1,11 +1,13 @@
-"""High-precision floating path: forward error bounds honored, float signs
-consistent with exact arithmetic, and the guard contracts of the expansion
-residual and threshold scan."""
+"""Certified enclosure path: every z enclosure contains the exact z, its signs
+equal the exact signs, and the guard contracts of the expansion residual and
+threshold scan hold."""
 
 import mpmath
 import pytest
 
-from binram.exactcore import BinomialSpec, DomainError, ramanujan_z
+from binram import highprec
+from binram.backend import Rat
+from binram.exactcore import BinomialSpec, DomainError, ramanujan_z, z_diff_signs
 from binram.highprec import (
     EXACT_CUTOFF,
     INCONCLUSIVE,
@@ -14,19 +16,27 @@ from binram.highprec import (
     z_diff_sign,
     z_highprec,
 )
+from binram.intervals import IntervalValue
 from binram.precision import PrecisionPolicy
 
 POLICY = PrecisionPolicy(digits=30, max_escalations=3)
 
 
+def assert_encloses_exact(b, n):
+    enclosure = z_highprec(BinomialSpec(b, n), POLICY)
+    assert enclosure.contains(ramanujan_z(BinomialSpec(b, n)))
+    assert enclosure.width() < Rat(1, 10**20)
+
+
 @pytest.mark.parametrize("b,n", [(1, 3), (5, 17), (20, 100), (40, 120), (13, 13)])
 def test_z_highprec_within_error_of_exact(b, n):
-    z_exact = ramanujan_z(BinomialSpec(b, n))
-    value, err = z_highprec(BinomialSpec(b, n), POLICY)
-    with mpmath.workdps(60):
-        exact_mp = mpmath.mpf(int(z_exact.numerator)) / int(z_exact.denominator)
-        assert abs(value - exact_mp) <= err
-        assert err < mpmath.mpf("1e-20")
+    assert_encloses_exact(b, n)
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_z_highprec_encloses_exact_at_larger_n(n):
+    for b in sorted({1, 2, n // 7, n // 3, n // 2, n - 200, n - 1, n}):
+        assert_encloses_exact(b, n)
 
 
 def test_z_diff_sign_exact_below_cutoff():
@@ -40,12 +50,23 @@ def test_z_diff_sign_exact_below_cutoff():
 
 
 def test_z_diff_sign_float_path_agrees_with_exact():
-    # force the float path with exact_cutoff=0 and compare against exact signs
-    for b, n in [(3, 60), (10, 150), (29, 60), (7, 25)]:
-        float_sign = z_diff_sign(b, n, POLICY, exact_cutoff=0)
-        exact_sign = z_diff_sign(b, n, POLICY)
-        assert float_sign in (-1, 1)
-        assert float_sign == exact_sign
+    # force the enclosure path with exact_cutoff=0 and compare with the exact rows
+    for n in [*range(2, 121), 150, 2000]:
+        got = [z_diff_sign(b, n, POLICY, exact_cutoff=0) for b in range(1, n)]
+        assert got == z_diff_signs(n), n
+
+
+@pytest.mark.parametrize("slope", [1, -1])
+def test_overlapping_enclosures_escalate_then_stay_inconclusive(monkeypatch, slope):
+    digits = []
+
+    def overlapping(spec, policy):  # the midpoints move by slope/100, yet no sign is certain
+        digits.append(policy.digits)
+        return IntervalValue(Rat(slope * spec.b, 100), Rat(slope * spec.b, 100) + 1)
+
+    monkeypatch.setattr(highprec, "z_highprec", overlapping)
+    assert z_diff_sign(5, 100, POLICY, exact_cutoff=0) == INCONCLUSIVE
+    assert digits == [30, 30, 60, 60, 120, 120, 240, 240]
 
 
 def test_z_diff_sign_domain_guard():

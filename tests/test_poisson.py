@@ -11,7 +11,7 @@ from binram.backend import Rat
 from binram.exactcore import DomainError
 from binram.poisson import (
     alpha_beta,
-    beta_sharpness_identity,
+    beta_meets_upper_bound,
     beta_upper_bound,
     factorial_moment_identity,
     falling_factorial_sum,
@@ -111,8 +111,19 @@ def test_falling_factorial_sum():
         falling_factorial_sum(-1, 0)
 
 
-def test_beta_sharpness_identity():
-    assert beta_sharpness_identity()
+def test_beta_meets_upper_bound():
+    for digits in (30, 60):
+        policy = PrecisionPolicy(digits=digits, max_escalations=2)
+        ub = beta_upper_bound(digits)
+        for b in (1, 2, 3):
+            assert beta_meets_upper_bound(b, summarize(b, policy).beta, ub)
+        # the b = 1 check can fail: moved by more than both widths, they are disjoint
+        beta1 = summarize(1, policy).beta
+        shift = beta1.width() + ub.width() + Rat(1, 10**digits)
+        assert not beta_meets_upper_bound(1, beta1, ub + shift)
+        assert not beta_meets_upper_bound(1, beta1, ub - shift)
+        # from b = 2 on, reaching the bound is a violation
+        assert not beta_meets_upper_bound(2, beta1, ub)
 
 
 def test_beta_upper_bound_value():
