@@ -1,10 +1,14 @@
-"""Finite-range inequality certificates.
+"""Finite-range checks: claim suites and inequality certificates.
 
-Each checker verifies one labeled inequality family over an explicit range in
-exact integer/rational arithmetic and returns an
+A claim suite checks one claim over the range its caller passes, appending
+result rows and :class:`ViolationReport` witnesses to a :class:`Report`; the
+CLI and the acceptance criteria call the same suites at their own ranges.
+
+Each certificate checker verifies one labeled inequality family over an
+explicit range in exact integer/rational arithmetic and returns an
 :class:`InequalityCertificate`: verified (no witnesses), violated (witnesses
-listed with both sides exact), or inconclusive.  The only non-rational
-ingredient anywhere is the certified bracket around e, which enters two
+listed with both sides exact), or inconclusive.  Their only non-rational
+ingredient is the certified bracket around e, which enters two
 boundary-case bounds through interval arithmetic.
 
 Beyond the largest scanned b, polynomial positivity is certified by a
@@ -16,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backend import Int, Rat
+from . import kernel, poisson
+from .backend import Int, Rat, decimal_str
 from .exactcore import BinomialSpec, DomainError, p_diff_sign, ramanujan_z, tail_numerator
 from .intervals import IntervalValue, e_enclosure
-from .kernel import derivative_value, eval_P, eval_R, integrate_g_delta
-from .report import ViolationReport
+from .report import Report, ViolationReport
 
 VERIFIED = "verified"
 VIOLATED = "violated"
@@ -54,10 +58,11 @@ class InequalityCertificate:
         self.witnesses.append(
             ViolationReport.from_rationals(self.claim_id, b, n, lhs, rhs, note=note)
         )
-        self.status = VIOLATED
 
     def finish(self) -> "InequalityCertificate":
-        if self.status == VERIFIED and self.inconclusive_points:
+        if self.witnesses:
+            self.status = VIOLATED
+        elif self.inconclusive_points:
             self.status = INCONCLUSIVE
         return self
 
@@ -97,9 +102,9 @@ def check_small_b(
         for n in range(3 * b + 2, n_cap + 1):
             spec = BinomialSpec(b, n)
             x = Rat(b + 1, n)
-            d4 = derivative_value(spec, 4, Rat(n - b, n))
+            d4 = kernel.derivative_value(spec, 4, Rat(n - b, n))
             rhs = b * n * d4 / (5 * x ** (b - 4) * (1 - x) ** (n - b - 2))
-            lhs = eval_P(b, n)
+            lhs = kernel.eval_P(b, n)
             if not lhs > rhs:
                 cert.record_violation(b, n, lhs, rhs, note="direct")
 
@@ -134,7 +139,7 @@ def check_r_positivity(n_max: int = 500) -> InequalityCertificate:
     cert = InequalityCertificate("appC-R-positivity", rng)
     for n in range(20, n_max + 1):
         for b in range(6, (n - 2) // 3 + 1):
-            r = eval_R(b, n)
+            r = kernel.eval_R(b, n)
             if not r > 0:
                 cert.record_violation(b, n, r, 0)
     return cert.finish()
@@ -153,7 +158,7 @@ def check_medium(
     cert = InequalityCertificate("eq-medium_b_ineq", rng)
 
     def q(b: int, n: int) -> int:
-        return 5 * eval_P(b, n) - b * n * (3 * b * n + 46 * b - 57 * n)
+        return 5 * kernel.eval_P(b, n) - b * n * (3 * b * n + 46 * b - 57 * n)
 
     for b in range(b_lo, b_hi + 1):
         for n in range(2 * b, 3 * b + 1 + 1):
@@ -188,7 +193,7 @@ def above_half_bracket(bt: int, n: int):
     u = Rat(n - bt, n - bt - 1)
     correction = u - Rat(bt, bt + 1) ** bt * u ** (n - bt)
     return (
-        Rat(eval_P(bt, n), 24 * n**6)
+        Rat(kernel.eval_P(bt, n), 24 * n**6)
         - Rat(bt, 120 * n**5) * (3 * bt * n + 46 * bt - 57 * n + 46)
         + correction * x**4 * (1 - x) ** 2
     )
@@ -227,6 +232,8 @@ def check_exp_bounds(n_max: int = 2000) -> InequalityCertificate:
       (1 + 1/b)^b (1 - 1/(n-b))^(n-b-1) < 1      for 1 <= b <= (n-2)/2,
       (1 - 1/(b+1))^b (1 + 1/(n-b-1))^(n-b-1) < 1 for (n+1)/2 <= b <= n-2, n >= 6.
     """
+    if n_max < 4:
+        raise DomainError(f"exp-bounds needs n_max >= 4, got {n_max}")
     rng = RangeSpec("exp-bounds", 1, n_max - 2, 4, n_max)
     cert = InequalityCertificate("eq-negative_appendix", rng)
     # k^k and k^(k-1) tables make each comparison two big multiplications
@@ -260,7 +267,7 @@ def z_diff_lower_bound(b: int, n: int):
     """The explicit all-rational lower-bound expression for z(b+1,n) - z(b,n)."""
     if not (1 <= b <= (n - 1) // 2):
         raise DomainError("bound stated for b <= (n-1)/2")
-    g_cell = integrate_g_delta(BinomialSpec(b, n))
+    g_cell = kernel.integrate_g_delta(BinomialSpec(b, n))
     x = Rat(b + 1, n)
     m = n - b - 1
     factor = (
@@ -368,36 +375,19 @@ def check_boundary_cases(n_scan: int = 160, growth_samples: int = 10) -> Inequal
     """The b <= 5 and b >= n-5 boundary cases of the tail-difference theorem:
 
     (i) exact sign of the tail difference matches the 3b+2 boundary for
-        b <= 5, n <= n_scan;
+        b <= 5, n <= n_scan, and for every b < n <= 27 (so b >= n-5 there);
     (ii/iii) the printed big-integer brackets at n = 16..19 for b = 5;
     (iv) positivity and sampled growth of the two split bounds at the
         C = 2300 split, via the certified e bracket;
-    (v) negativity of the top-boundary bound at n = 28 plus exact signs for
-        11 <= n <= 27.
+    (v) negativity of the top-boundary bound at n = 28, hence for all n >= 28.
     """
     rng = RangeSpec("boundary-cases", 1, 5, 2, n_scan)
     cert = InequalityCertificate("appB-boundary", rng)
-
-    for b in range(1, 6):
-        for n in range(b + 1, n_scan + 1):
-            sign = p_diff_sign(b, n)
-            want = 1 if n >= 3 * b + 2 else -1
-            if sign != want:
-                cert.record_violation(b, n, sign, want, note="sign-vs-boundary")
-
-    brackets = {
-        17: (3387 * 10**17, 3389 * 10**17),
-        18: (1619 * 10**19, 1622 * 10**19),
-        19: (8176 * 10**20, 8199 * 10**20),
-    }
-    for n, (lo_mark, hi_mark) in brackets.items():
-        t5 = tail_numerator(BinomialSpec(5, n))
-        t6 = tail_numerator(BinomialSpec(6, n))
-        if not (t5 < lo_mark < hi_mark < t6):
-            cert.record_violation(5, n, t5, t6, note=f"appB-n{n}")
-    t5, t6 = tail_numerator(BinomialSpec(5, 16)), tail_numerator(BinomialSpec(6, 16))
-    if not (t5 > 7505 * 10**15 > 7503 * 10**15 > t6):
-        cert.record_violation(5, 16, t5, t6, note="appB-n16")
+    part = Report(meta={}, header=[])
+    thm3_sign_suite(part, ((n, [p_diff_sign(b, n) for b in range(1, n if n <= 27 else 6)])
+                           for n in range(2, n_scan + 1)), cert.claim_id, note="sign-vs-boundary")
+    printed_brackets_suite(part)
+    cert.witnesses.extend(part.violations)
 
     e = _interval_e()
     samples = [20 + k * (180 // max(1, growth_samples - 1)) for k in range(growth_samples)]
@@ -427,9 +417,6 @@ def check_boundary_cases(n_scan: int = 160, growth_samples: int = 10) -> Inequal
     for k, coeff in enumerate(coeffs, start=1):
         if not coeff.lo > 0:
             cert.record_violation(23, 28, coeff.lo, 0, note=f"top-coeff-{k}")
-    for n in range(11, 28):
-        if p_diff_sign(n - 5, n) != -1:
-            cert.record_violation(n - 5, n, p_diff_sign(n - 5, n), -1, note="top-exact")
     cert.extra["e_bracket_digits"] = 40
     return cert.finish()
 
@@ -472,3 +459,129 @@ def check_root_bounds(b_hi: int = 10**4) -> InequalityCertificate:
         sharpness[claim] = probe
     cert.extra["sharpness_probes"] = sharpness
     return cert.finish()
+
+
+# -- claim suites --------------------------------------------------------------
+
+
+def thm3_sign_suite(report: Report, rows, claim_id: str = "thm3", note: str = "") -> None:
+    """Theorem 3: sign(p_{b+1} - p_b) = +1 iff n >= 3b+2, else -1, on rows (n, signs)
+    with signs[b-1] the exact sign at b (exactcore.p_diff_signs(n) or a prefix)."""
+    for n, signs in rows:
+        for b, sign in enumerate(signs, start=1):
+            want = 1 if n >= 3 * b + 2 else -1
+            report.results.append([claim_id, b, n, sign, sign == want])
+            if sign != want:
+                report.violations.append(
+                    ViolationReport.from_rationals(claim_id, b, n, sign, want, note=note))
+
+
+def printed_brackets_suite(report: Report) -> None:
+    """The printed brackets between Tb = n**n P(X < b) at b = 5 and 6, n = 16..19."""
+    for n, lo_mark, hi_mark in ((17, 3387 * 10**17, 3389 * 10**17),
+                                (18, 1619 * 10**19, 1622 * 10**19),
+                                (19, 8176 * 10**20, 8199 * 10**20),
+                                (16, 7503 * 10**15, 7505 * 10**15)):
+        t5, t6 = (tail_numerator(BinomialSpec(b, n)) for b in (5, 6))
+        below, above = (t6, t5) if n == 16 else (t5, t6)  # n = 16: T6 < lo < hi < T5
+        if not (below < lo_mark < hi_mark < above):
+            report.violations.append(ViolationReport.from_rationals(
+                "appB-boundary", 5, n, t5, t6, note=f"appB-n{n}"))
+
+
+def claim1_suite(report: Report, n_max: int) -> None:
+    """The four tail/integral identities (kernel.verify_claim1), 1 <= b < n <= n_max."""
+    for n in range(2, n_max + 1):
+        for b in range(1, n):
+            ok = kernel.verify_claim1(BinomialSpec(b, n))
+            report.results.append(["claim1", b, n, "ok" if ok else "violated", "", "", "", ""])
+            if not ok:
+                report.violations.append(ViolationReport.from_rationals("claim1", b, n, 0, 1))
+
+
+def claim2_suite(report: Report, n_max: int) -> None:
+    """Closed-form derivative == oracle, orders 1..min(b-1, n-b), 1 <= b < n <= n_max."""
+    for n in range(2, n_max + 1):
+        for b in range(1, n):
+            spec = BinomialSpec(b, n)
+            for order in range(1, min(b - 1, n - b) + 1):
+                closed = kernel.derivative_closed_form_polynomial(spec, order)
+                oracle = kernel.derivative_oracle(spec, order)
+                ok = closed.coeffs == oracle.coeffs and closed.scale == oracle.scale
+                report.results.append(["claim2", b, n, "ok" if ok else "mismatch",
+                                       f"order={order}", "", "", ""])
+                if not ok:
+                    report.violations.append(ViolationReport.from_rationals(
+                        "claim2", b, n, 0, 1, note=f"order={order}"))
+
+
+def claim3_suite(report: Report, ns) -> None:
+    """Taylor sandwich on the 5-point cell grid, 5 <= b <= n/2, n in `ns`; a witness per point."""
+    for n in ns:
+        for b in range(5, n // 2 + 1):
+            spec = BinomialSpec(b, n)
+            sandwich = kernel.taylor_sandwich(spec)
+            ok = True
+            for z in kernel.DeltaCell.of(spec).grid(5):
+                g = kernel.eval_g(spec, z)
+                if not (sandwich.lower(z) <= g <= sandwich.upper(z)):
+                    ok = False
+                    report.violations.append(ViolationReport.from_rationals(
+                        "claim3", b, n, g, sandwich.lower(z), note=f"z={z}"))
+            report.results.append(["claim3", b, n, "ok" if ok else "violated", "", "", "", ""])
+
+
+def lemma1_suite(report: Report, b_max: int, k_max: int) -> None:
+    """Lemma 1: E[N^(s) 1(N<b)] = b**s P(N < b-s) for 1 <= s <= b <= b_max, one row
+    per b; sum_i (-1)**i C(k, i) i^(s) = 0 for 0 <= s < k <= k_max."""
+    for b in range(1, b_max + 1):
+        row = poisson.factorial_moment_row(b)
+        for s, ok in enumerate(row, start=1):
+            if not ok:
+                report.violations.append(ViolationReport.from_rationals("lemma1", s, b, 0, 1))
+        report.results.append(["lemma1", b, b, "ok" if all(row) else "violated", "", "", "", ""])
+    for k in range(1, k_max + 1):
+        for s in range(k):
+            val = poisson.falling_factorial_sum(k, s)
+            if val != 0:
+                report.violations.append(ViolationReport.from_rationals("lemma1-ffs", s, k, val, 0))
+
+
+def moments_suite(report: Report, bs) -> None:
+    """Enclosed truncated moments h1, h2 of order 1, 2 at each b in `bs`."""
+    for b in bs:
+        for k in (1, 2):
+            for which in ("h1", "h2"):
+                enc = poisson.truncated_moment(b, k, which)
+                report.results.append(["claim4", b, k, which,
+                                       decimal_str(enc.lo), decimal_str(enc.hi), "", ""])
+
+
+def poisson_suite(report: Report, b_max: int, policy, bound_digits: int) -> None:
+    """For b = 1..b_max, from certified enclosures: y(b) in (1/3, 1/2) and
+    alpha(b) in [2/21, 8/45], both strictly decreasing, and beta(b) in
+    (-1/3, -1 + 4/sqrt(21(368-135e))] with the bound enclosed at bound_digits."""
+    beta_upper = poisson.beta_upper_bound(bound_digits)
+
+    def fail(name, b, lhs, rhs):
+        report.violations.append(ViolationReport.from_rationals(f"poisson-{name}", b, b, lhs, rhs))
+
+    prev_y = prev_alpha = None
+    for b in range(1, b_max + 1):
+        y = poisson.y_poisson(b, policy)
+        alpha, beta = poisson.alpha_beta(b, policy)
+        report.results.append(["poisson", b] + [decimal_str(v) for v in (
+            y.lo, y.hi, alpha.lo, alpha.hi, beta.lo, beta.hi)])
+        if not (Rat(1, 3) < y.lo and y.hi < Rat(1, 2)):
+            fail("y-range", b, y.lo, y.hi)
+        if prev_y is not None and not y.strictly_below(prev_y):
+            fail("y-monotone", b, y.hi, prev_y.lo)
+        if not (Rat(2, 21) <= alpha.lo and alpha.hi <= Rat(8, 45)):
+            fail("alpha-range", b, alpha.lo, alpha.hi)
+        if prev_alpha is not None and not alpha.strictly_below(prev_alpha):
+            fail("alpha-monotone", b, alpha.hi, prev_alpha.lo)
+        if not beta.lo > Rat(-1, 3):
+            fail("beta-range", b, beta.lo, Rat(-1, 3))
+        if not poisson.beta_meets_upper_bound(b, beta, beta_upper):
+            fail("beta-range", b, beta.hi, beta_upper.lo)
+        prev_y, prev_alpha = y, alpha

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands map one-to-one onto the library's verification suites and emit
-deterministic CSV or JSON reports (fixed row ordering, no timestamps in the
-data section).  Exit codes: 0 clean, 1 violations found, 2 inconclusive
-results only, 64 usage error, 70 resource guard exceeded.
+Subcommands run the suites of binram.certificates, shared with the acceptance
+tests, at the CLI's ranges and emit deterministic CSV or JSON reports (fixed
+row ordering, no timestamps in the data section); a range with no point to
+check is a usage error.  Exit codes: 0 clean, 1 violations found, 2
+inconclusive results only, 64 usage error, 70 resource guard exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .backend import BACKEND, Rat, as_rat, decimal_str
+from .backend import BACKEND, Rat, as_rat
 from .certificates import (
     check_above_half,
     check_boundary_cases,
@@ -23,35 +24,22 @@ from .certificates import (
     check_root_bounds,
     check_small_b,
     check_z_lowerbound,
+    claim1_suite,
+    claim2_suite,
+    claim3_suite,
+    lemma1_suite,
+    moments_suite,
+    poisson_suite,
+    thm3_sign_suite,
 )
-from .exactcore import BinomialSpec, DomainError, p_diff_signs, z_diff_signs
+from .exactcore import DomainError, p_diff_signs, z_diff_signs
 from .highprec import theorem2_threshold
-from .kernel import (
-    ORACLE_MAX_N,
-    DeltaCell,
-    ResourceError,
-    derivative_closed_form_polynomial,
-    derivative_oracle,
-    eval_g,
-    taylor_sandwich,
-    verify_claim1,
-)
-from .poisson import (
-    beta_meets_upper_bound,
-    beta_upper_bound,
-    factorial_moment_identity,
-    falling_factorial_sum,
-    summarize,
-    truncated_moment,
-)
+from .kernel import ORACLE_MAX_N, ResourceError
 from .precision import PrecisionPolicy
 from .report import CSV_HEADER, SCAN_P_HEADER, Report, ViolationReport, merge_reports
 from .smalldev import conjecture_scan, tilde_p_monotonicity_scan, verify_samuels
 
-EXIT_OK = 0
-EXIT_VIOLATIONS = 1
-EXIT_INCONCLUSIVE = 2
-EXIT_USAGE = 64
+EXIT_USAGE = 64  # 0, 1 and 2 come from Report.exit_code
 EXIT_RESOURCE = 70
 
 
@@ -159,6 +147,8 @@ def _apply_config(parser: _Parser, argv: list) -> argparse.Namespace:
 
 
 def _emit(report: Report, args) -> int:
+    if not report.results:
+        raise DomainError(f"{args.command}: the requested range holds no point to check")
     fmt = args.format
     report.meta.setdefault("header", report.header)
     if args.out:
@@ -183,8 +173,6 @@ def _signs_by_n(row, n_max: int, workers: int) -> list:
     The cost of a row grows steeply with n, so a pool gets one task per n,
     largest first: no worker is left alone with the big rows at the end.
     """
-    if n_max < 2:
-        raise DomainError(f"--n-max {n_max} leaves nothing to scan (need >= 2)")
     if workers < 1:
         raise DomainError(f"--workers must be >= 1, got {workers}")
     ns = range(n_max, 1, -1)
@@ -198,13 +186,7 @@ def _signs_by_n(row, n_max: int, workers: int) -> list:
 
 def cmd_scan_p(args) -> int:
     report = Report(meta=_meta(args, n_max=args.n_max), header=SCAN_P_HEADER)
-    for n, signs in _signs_by_n(p_diff_signs, args.n_max, args.workers):
-        for b, sign in enumerate(signs, start=1):
-            want = 1 if n >= 3 * b + 2 else -1
-            report.results.append(["thm3", b, n, sign, sign == want])
-            if sign != want:
-                report.violations.append(
-                    ViolationReport.from_rationals("thm3", b, n, sign, want))
+    thm3_sign_suite(report, _signs_by_n(p_diff_signs, args.n_max, args.workers))
     return _emit(report, args)
 
 
@@ -237,78 +219,25 @@ def cmd_threshold(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def _verify_claim2(report: Report, n_max: int) -> None:
-    n_max = min(n_max, 30)
-    for n in range(2, n_max + 1):
-        for b in range(1, n):
-            spec = BinomialSpec(b, n)
-            for order in range(1, min(b - 1, n - b) + 1):
-                closed = derivative_closed_form_polynomial(spec, order)
-                oracle = derivative_oracle(spec, order)
-                ok = closed.coeffs == oracle.coeffs and closed.scale == oracle.scale
-                report.results.append(["claim2", b, n, "ok" if ok else "mismatch",
-                                       f"order={order}", "", "", ""])
-                if not ok:
-                    report.violations.append(ViolationReport.from_rationals(
-                        "claim2", b, n, 0, 1, note=f"order={order}"))
-
-
-def _verify_claim3(report: Report, n_max: int) -> None:
-    for n in range(10, min(n_max, 200) + 1, 10):
-        for b in range(5, n // 2 + 1):
-            sandwich = taylor_sandwich(BinomialSpec(b, n))
-            ok = True
-            for z in DeltaCell.of(BinomialSpec(b, n)).grid(5):
-                g = eval_g(BinomialSpec(b, n), z)
-                if not (sandwich.lower(z) <= g <= sandwich.upper(z)):
-                    ok = False
-                    report.violations.append(ViolationReport.from_rationals(
-                        "claim3", b, n, g, sandwich.lower(z), note=f"z={z}"))
-            report.results.append(["claim3", b, n, "ok" if ok else "violated",
-                                   "", "", "", ""])
+_VERIFY_SUITES = {  # each claim's suite at the CLI's clamps
+    "1": lambda report, n_max: claim1_suite(report, min(n_max, ORACLE_MAX_N)),
+    "2": lambda report, n_max: claim2_suite(report, min(n_max, 30)),
+    "3": lambda report, n_max: claim3_suite(report, range(10, min(n_max, 200) + 1, 10)),
+    "lemma1": lambda report, n_max: lemma1_suite(report, min(n_max, 200), 30),
+    "moments": lambda report, n_max: moments_suite(report, (25, 100)),
+}
 
 
 def cmd_verify(args) -> int:
     claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     report = Report(meta=_meta(args, claims=claims, n_max=args.n_max), header=CSV_HEADER)
     for claim in claims:
-        if claim == "1":
-            for n in range(2, min(args.n_max, ORACLE_MAX_N) + 1):
-                for b in range(1, n):
-                    ok = verify_claim1(BinomialSpec(b, n))
-                    report.results.append(["claim1", b, n, "ok" if ok else "violated",
-                                           "", "", "", ""])
-                    if not ok:
-                        report.violations.append(ViolationReport.from_rationals(
-                            "claim1", b, n, 0, 1))
-        elif claim == "2":
-            _verify_claim2(report, args.n_max)
-        elif claim == "3":
-            _verify_claim3(report, args.n_max)
-        elif claim == "lemma1":
-            for b in range(1, min(args.n_max, 200) + 1):
-                for s in range(1, b + 1):
-                    ok = factorial_moment_identity(b, s)
-                    if not ok:
-                        report.violations.append(ViolationReport.from_rationals(
-                            "lemma1", s, b, 0, 1))
-                report.results.append(["lemma1", b, b, "ok", "", "", "", ""])
-            for k in range(1, 31):
-                for s in range(0, k):
-                    val = falling_factorial_sum(k, s)
-                    if val != 0:
-                        report.violations.append(ViolationReport.from_rationals(
-                            "lemma1-ffs", s, k, val, 0))
-        elif claim == "moments":
-            for b in (25, 100):
-                for k in (1, 2):
-                    for which in ("h1", "h2"):
-                        enc = truncated_moment(b, k, which)
-                        report.results.append(
-                            ["claim4", b, k, which,
-                             decimal_str(enc.lo), decimal_str(enc.hi), "", ""])
-        else:
+        if claim not in _VERIFY_SUITES:
             raise DomainError(f"unknown claim {claim!r}")
+        checked = len(report.results)
+        _VERIFY_SUITES[claim](report, args.n_max)
+        if len(report.results) == checked:
+            raise DomainError(f"claim {claim} at --n-max {args.n_max} covers no point")
     return _emit(report, args)
 
 
@@ -316,42 +245,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_poisson(args) -> int:
-    if args.b_max < 1:
-        raise DomainError(f"--b-max {args.b_max} leaves nothing to check (need >= 1)")
     policy = PrecisionPolicy(digits=args.digits, max_escalations=4)
     report = Report(
         meta=_meta(args, b_max=args.b_max, digits=args.digits),
         header=["claim_id", "b", "y_lo", "y_hi", "alpha_lo", "alpha_hi",
                 "beta_lo", "beta_hi"],
     )
-    prev_y = None
-    prev_alpha = None
-    beta_upper = beta_upper_bound(args.digits)
-    for b in range(1, args.b_max + 1):
-        s = summarize(b, policy)
-        report.results.append(["poisson", b,
-                               decimal_str(s.y.lo), decimal_str(s.y.hi),
-                               decimal_str(s.alpha.lo), decimal_str(s.alpha.hi),
-                               decimal_str(s.beta.lo), decimal_str(s.beta.hi)])
-        if not (Rat(1, 3) < s.y.lo and s.y.hi < Rat(1, 2)):
-            report.violations.append(ViolationReport.from_rationals(
-                "poisson-y-range", b, b, s.y.lo, s.y.hi))
-        if prev_y is not None and not s.y.strictly_below(prev_y):
-            report.violations.append(ViolationReport.from_rationals(
-                "poisson-y-monotone", b, b, s.y.hi, prev_y.lo))
-        if not (Rat(2, 21) <= s.alpha.lo and s.alpha.hi <= Rat(8, 45)):
-            report.violations.append(ViolationReport.from_rationals(
-                "poisson-alpha-range", b, b, s.alpha.lo, s.alpha.hi))
-        if prev_alpha is not None and not s.alpha.strictly_below(prev_alpha):
-            report.violations.append(ViolationReport.from_rationals(
-                "poisson-alpha-monotone", b, b, s.alpha.hi, prev_alpha.lo))
-        if not s.beta.lo > Rat(-1, 3):
-            report.violations.append(ViolationReport.from_rationals(
-                "poisson-beta-range", b, b, s.beta.lo, Rat(-1, 3)))
-        if not beta_meets_upper_bound(b, s.beta, beta_upper):
-            report.violations.append(ViolationReport.from_rationals(
-                "poisson-beta-range", b, b, s.beta.hi, beta_upper.lo))
-        prev_y, prev_alpha = s.y, s.alpha
+    poisson_suite(report, args.b_max, policy, bound_digits=args.digits)
     return _emit(report, args)
 
 
@@ -389,11 +289,11 @@ def cmd_certify(args) -> int:
 def cmd_smalldev(args) -> int:
     report = Report(meta=_meta(args, target=args.target), header=CSV_HEADER)
     if args.target == "samuels":
-        n_max = args.n_max or 200
+        n_max = 200 if args.n_max is None else args.n_max
         report.violations.extend(verify_samuels(n_max))
         report.results.append(["samuels", 2, n_max, "scanned", "", "", "", ""])
     elif args.target == "conjecture":
-        n_max = args.n_max or 20
+        n_max = 20 if args.n_max is None else args.n_max
         for n in range(2, n_max + 1):
             result = conjecture_scan(n, args.grid_step)
             report.violations.extend(result.violations)
@@ -402,7 +302,7 @@ def cmd_smalldev(args) -> int:
                 f"witnesses={len(result.equality_witnesses)}",
                 f"degenerate={result.degenerate_points}", "", "", ""])
     else:  # monotonicity: recorded signs, decreases listed but not violations
-        n_max = args.n_max or 100
+        n_max = 100 if args.n_max is None else args.n_max
         signs, decreases = tilde_p_monotonicity_scan(as_rat(args.c), n_max)
         increases = sum(1 for v in signs.values() if v > 0)
         report.results.append(["tilde-p-monotone", 1, n_max,
@@ -459,10 +359,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"binram: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DomainError, ValueError) as exc:
-        print(f"binram: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"binram: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

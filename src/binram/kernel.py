@@ -300,11 +300,6 @@ def eval_P(b: int, n: int) -> int:
     return lead + eval_R(b, n)
 
 
-def eval_P_leading(b: int, n: int) -> int:
-    """P minus its R-part, i.e. the terms carrying b**2 and higher powers."""
-    return eval_P(b, n) - eval_R(b, n)
-
-
 def eval_Q(spec: BinomialSpec):
     """The normalized fourth derivative at the cell's left endpoint:
 
@@ -321,15 +316,6 @@ def eval_Q(spec: BinomialSpec):
         + 96 * w**3
         + 24 * w**4
     )
-
-
-def q_identity_holds(spec: BinomialSpec) -> bool:
-    """Exact check that Q reproduces the fourth derivative at the left endpoint."""
-    b, n = spec.b, spec.n
-    x = Rat(b + 1, n)
-    lhs = derivative_value(spec, 4, 1 - x)
-    rhs = x ** (b - 5) * (1 - x) ** (n - b - 4) * eval_Q(spec)
-    return lhs == rhs
 
 
 # -- integral identity suite -------------------------------------------------

@@ -12,6 +12,7 @@ correction coefficients alpha(b) and beta(b) of its 1/b expansion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,18 +34,20 @@ def _exp_neg_interval(b: int, digits: int) -> IntervalValue:
     return raw.round_out(digits + _digits_of_magnitude(b) + 10)
 
 
-def tail_weight(b: int) -> "Rat":
-    """Exact rational S with P(N < b) = S * exp(-b): S = sum_{i<b} b**i / i!."""
+def poisson_weights(b: int):
+    """Yield the integers w_i = b**i (b-1)! / i! for i = 0..b-1, so that
+    P(N = i) = w_i exp(-b) / (b-1)!."""
     if b < 1:
         raise DomainError("b must be >= 1")
-    fact_top = math.factorial(b - 1)
-    acc = 0
-    power = fact_top  # b**i * (b-1)! / i!
+    w = math.factorial(b - 1)
     for i in range(b):
-        if i > 0:
-            power = power * b // i
-        acc += power
-    return Rat(acc, fact_top)
+        yield w
+        w = w * b // (i + 1)
+
+
+def tail_weight(b: int) -> "Rat":
+    """Exact rational S with P(N < b) = S * exp(-b): S = sum_{i<b} b**i / i!."""
+    return Rat(sum(poisson_weights(b)), math.factorial(b - 1))
 
 
 def pmf_weight(b: int) -> "Rat":
@@ -168,22 +171,25 @@ def factorial_moment_identity(b: int, s: int) -> bool:
     weights after the common exp(-b) factor cancels."""
     if not (1 <= s <= b):
         raise DomainError("need 1 <= s <= b")
-    fact_top = math.factorial(b - 1)
-    lhs = 0
-    power = fact_top  # b**i * (b-1)! / i!
-    for i in range(b):
-        if i > 0:
-            power = power * b // i
-        if i >= s:
-            lhs += power * falling(i, s)
-    rhs = 0
-    power = fact_top
-    for i in range(b - s):
-        if i > 0:
-            power = power * b // i
-        rhs += power
-    rhs *= b**s
+    w = list(poisson_weights(b))
+    lhs = sum(w[i] * falling(i, s) for i in range(s, b))
+    rhs = b**s * sum(w[: b - s])
     return lhs == rhs
+
+
+def factorial_moment_row(b: int) -> list:
+    """[factorial_moment_identity(b, s) for s = 1..b] in one pass: the column
+    w_i i^(s) advances by the factor (i-s+1), the right side is b**s times a
+    prefix sum.  Neither side is re-indexed (i -> i-s would make the sums
+    equal term by term, so the check would hold by construction)."""
+    col = list(poisson_weights(b))
+    prefix = list(itertools.accumulate(col, initial=0))  # prefix[m] = sum_{i<m} w_i
+    row, power = [], 1
+    for s in range(1, b + 1):
+        col = [c * (i - s + 1) for i, c in enumerate(col)]
+        power *= b
+        row.append(sum(col) == power * prefix[b - s])
+    return row
 
 
 def truncated_moment(
@@ -202,17 +208,9 @@ def truncated_moment(
         raise DomainError("k must be >= 1")
     if which not in ("h1", "h2"):
         raise DomainError("which must be 'h1' or 'h2'")
-    fact_top = math.factorial(b - 1)
-    acc = 0
-    power = fact_top
-    for i in range(b):
-        if i > 0:
-            power = power * b // i
-        term = power * (b - i) ** k
-        if which == "h2":
-            term *= i
-        acc += term
-    weight = Rat(acc, fact_top)
+    acc = sum(w * (b - i) ** k * (i if which == "h2" else 1)
+              for i, w in enumerate(poisson_weights(b)))
+    weight = Rat(acc, math.factorial(b - 1))
     digits = policy.digits
     return (weight * _exp_neg_interval(b, digits)).round_out(digits)
 

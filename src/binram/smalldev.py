@@ -168,8 +168,8 @@ def tilde_p_monotonicity_scan(c, n_max: int):
     The underlying monotonicity statement is open, so this records signs
     instead of asserting; decreases are returned separately for inspection.
     """
-    if n_max > 400:
-        raise DomainError("scan guarded at n_max <= 400")
+    if not 2 <= n_max <= 400:
+        raise DomainError(f"scan needs 2 <= n_max <= 400, got {n_max}")
     c = as_rat(c)
     signs = {}
     decreases = []

@@ -1,8 +1,10 @@
 """Acceptance suite: eleven criteria, one pass/fail line each.
 
-Each criterion is implemented exactly as stated, at its stated range and
-tolerance.  Three criteria encode claims that are known not to hold as stated
-and are expected to fail honestly:
+Each criterion runs at its stated range and tolerance.  Criteria 1 and 4-7
+call the same claim suites as the CLI (binram.certificates), at the ranges
+stated here, and count the witnesses the suite records.  Three criteria
+encode claims that are known not to hold as stated and are expected to fail
+honestly:
 
 * criterion 5: the Taylor-sandwich lower bound relies on the fourth
   derivative increasing across the cell; that premise fails at the stated
@@ -29,26 +31,18 @@ from binram.certificates import (
     check_medium,
     check_root_bounds,
     check_small_b,
+    claim1_suite,
+    claim2_suite,
+    claim3_suite,
+    lemma1_suite,
+    poisson_suite,
+    printed_brackets_suite,
+    thm3_sign_suite,
 )
-from binram.exactcore import BinomialSpec, p_diff_signs, ramanujan_z, tail_numerator
+from binram.exactcore import BinomialSpec, p_diff_signs, ramanujan_z
 from binram.highprec import claim5_residual, theorem2_threshold
-from binram.kernel import (
-    DeltaCell,
-    derivative_closed_form_polynomial,
-    derivative_oracle,
-    eval_g,
-    taylor_sandwich,
-    verify_claim1,
-)
-from binram.poisson import (
-    alpha_beta,
-    beta_meets_upper_bound,
-    beta_upper_bound,
-    factorial_moment_identity,
-    falling_factorial_sum,
-    y_poisson,
-)
 from binram.precision import PrecisionPolicy
+from binram.report import Report
 from binram.smalldev import (
     SmallDevSpec,
     TwoPointDist,
@@ -66,16 +60,17 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} {name}: {detail}"
 
 
+def suite_report() -> Report:
+    return Report(meta={}, header=[])
+
+
 def test_criterion_01_tail_difference_boundary():
     """sign(p_{b+1} - p_b) = +1 iff n >= 3b+2, -1 iff n <= 3b+1, exactly,
     for all 1 <= b < n <= 300."""
-    bad = []
-    for n in range(2, 301):
-        for b, got in enumerate(p_diff_signs(n), start=1):
-            want = 1 if n >= 3 * b + 2 else -1
-            if got != want:
-                bad.append((b, n))
-    report(1, "tail-difference boundary", not bad, f"{len(bad)} mismatches")
+    rep = suite_report()
+    thm3_sign_suite(rep, ((n, p_diff_signs(n)) for n in range(2, 301)))
+    report(1, "tail-difference boundary", not rep.violations,
+           f"{len(rep.violations)} mismatches")
 
 
 def test_criterion_02_z_range_and_monotonicity():
@@ -116,20 +111,9 @@ def test_criterion_03_symmetry():
 def test_criterion_04_printed_brackets():
     """The printed big-integer tail brackets at n = 16..19, bit-exact after
     scaling by n^n."""
-    ok = True
-    chains = {
-        17: (3387 * 10**17, 3389 * 10**17),
-        18: (1619 * 10**19, 1622 * 10**19),
-        19: (8176 * 10**20, 8199 * 10**20),
-    }
-    for n, (lo, hi) in chains.items():
-        t5 = tail_numerator(BinomialSpec(5, n))
-        t6 = tail_numerator(BinomialSpec(6, n))
-        ok = ok and (t5 < lo < hi < t6)
-    t5 = tail_numerator(BinomialSpec(5, 16))
-    t6 = tail_numerator(BinomialSpec(6, 16))
-    ok = ok and (t5 > 7505 * 10**15 > 7503 * 10**15 > t6)
-    report(4, "printed tail brackets", ok)
+    rep = suite_report()
+    printed_brackets_suite(rep)
+    report(4, "printed tail brackets", not rep.violations)
 
 
 def test_criterion_05_kernel_identity_suite():
@@ -140,73 +124,36 @@ def test_criterion_05_kernel_identity_suite():
     Expected to FAIL: the sandwich's lower bound is genuinely violated for
     b = 5, n >= 56 (non-monotone fourth derivative on the cell); all other
     parts pass."""
-    bad = []
-    for n in range(2, 61):
-        for b in range(1, n):
-            if not verify_claim1(BinomialSpec(b, n)):
-                bad.append(("identities", b, n))
-    for n in range(2, 31):
-        for b in range(1, n):
-            spec = BinomialSpec(b, n)
-            for order in range(1, min(b - 1, n - b) + 1):
-                closed = derivative_closed_form_polynomial(spec, order)
-                oracle = derivative_oracle(spec, order)
-                if closed.coeffs != oracle.coeffs or closed.scale != oracle.scale:
-                    bad.append(("derivative", b, n, order))
-    for n in range(10, 201):
-        for b in range(5, n // 2 + 1):
-            spec = BinomialSpec(b, n)
-            sw = taylor_sandwich(spec)
-            for z in DeltaCell.of(spec).grid(5):
-                g = eval_g(spec, z)
-                if not (sw.lower(z) <= g <= sw.upper(z)):
-                    bad.append(("sandwich", b, n))
-    parts = sorted({item[0] for item in bad})
-    sandwich_bs = sorted({item[1] for item in bad if item[0] == "sandwich"})
-    report(5, "kernel identity suite", not bad,
-           f"{len(bad)} failures in parts {parts or 'none'}; sandwich b values {sandwich_bs}")
+    rep = suite_report()
+    claim1_suite(rep, 60)
+    claim2_suite(rep, 30)
+    claim3_suite(rep, range(10, 201))
+    part = {"claim1": "identities", "claim2": "derivative", "claim3": "sandwich"}
+    parts = sorted({part[v.claim_id] for v in rep.violations})
+    sandwich_bs = sorted({v.b for v in rep.violations if v.claim_id == "claim3"})
+    report(5, "kernel identity suite", not rep.violations,
+           f"{len(rep.violations)} failures in parts {parts or 'none'}; "
+           f"sandwich b values {sandwich_bs}")
 
 
 def test_criterion_06_factorial_moment_identity():
     """Truncated factorial-moment identity exact for 1 <= s <= b <= 200;
     falling-factorial alternating sums vanish for s < k <= 30."""
-    bad = []
-    for b in range(1, 201):
-        for s in range(1, b + 1):
-            if not factorial_moment_identity(b, s):
-                bad.append((s, b))
-    for k in range(1, 31):
-        for s in range(0, k):
-            if falling_factorial_sum(k, s) != 0:
-                bad.append(("ffs", s, k))
-    report(6, "factorial-moment identities", not bad, f"{len(bad)} failures")
+    rep = suite_report()
+    lemma1_suite(rep, 200, 30)
+    report(6, "factorial-moment identities", not rep.violations,
+           f"{len(rep.violations)} failures")
 
 
 def test_criterion_07_poisson_enclosures():
     """For b = 1..300 with escalation capped at 200 digits: y in (1/3, 1/2)
     strictly decreasing, alpha in [2/21, 8/45] strictly decreasing, beta in
     (-1/3, -1 + 4/sqrt(21(368-135e))], zero inconclusive results."""
-    policy = PrecisionPolicy(digits=50, max_escalations=2)  # 50 -> 100 -> 200
-    ub = beta_upper_bound(60)
-    bad = []
-    prev_y = prev_a = None
-    for b in range(1, 301):
-        y = y_poisson(b, policy)
-        alpha, beta = alpha_beta(b, policy)
-        if not (Rat(1, 3) < y.lo and y.hi < Rat(1, 2)):
-            bad.append(("y-range", b))
-        if prev_y is not None and not y.hi < prev_y.lo:
-            bad.append(("y-monotone", b))
-        if not (Rat(2, 21) <= alpha.lo and alpha.hi <= Rat(8, 45)):
-            bad.append(("alpha-range", b))
-        if prev_a is not None and not alpha.hi < prev_a.lo:
-            bad.append(("alpha-monotone", b))
-        if not beta.lo > Rat(-1, 3):
-            bad.append(("beta-low", b))
-        if not beta_meets_upper_bound(b, beta, ub):
-            bad.append(("beta-high", b))
-        prev_y, prev_a = y, alpha
-    report(7, "poisson enclosure suite", not bad, f"{len(bad)} failures")
+    rep = suite_report()
+    poisson_suite(rep, 300, PrecisionPolicy(digits=50, max_escalations=2),  # 50 -> 100 -> 200
+                  bound_digits=60)
+    report(7, "poisson enclosure suite", not rep.violations,
+           f"{len(rep.violations)} failures")
 
 
 def test_criterion_08_expansion_residual():

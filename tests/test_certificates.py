@@ -4,6 +4,7 @@ derivative-sign tail argument."""
 
 import pytest
 
+from binram import certificates
 from binram.backend import Rat
 from binram.certificates import (
     VERIFIED,
@@ -18,10 +19,12 @@ from binram.certificates import (
     check_root_bounds,
     check_small_b,
     check_z_lowerbound,
+    thm3_sign_suite,
     z_diff_lower_bound,
 )
 from binram.exactcore import BinomialSpec, DomainError, ramanujan_z
 from binram.kernel import eval_P
+from binram.report import Report
 
 
 def test_tail_positive():
@@ -104,6 +107,21 @@ def test_z_lowerbound_domain_guards():
         check_z_lowerbound(n_max=2001)
     with pytest.raises(DomainError):
         check_z_lowerbound(b_lo=30, b_hi=40, n_max=50)
+
+
+def test_sign_suite_witness_reaches_the_boundary_certificate(monkeypatch):
+    report = Report(meta={}, header=[])
+    thm3_sign_suite(report, [(5, [1, 1, -1, -1])])  # at n = 5 only b = 1 is positive
+    assert [(v.claim_id, v.b, v.n) for v in report.violations] == [("thm3", 2, 5)]
+    assert [row[-1] for row in report.results] == [True, False, True, True]
+    real = certificates.p_diff_sign
+    flipped = {(2, 20), (16, 21)}  # b <= 5, and b = n-5 below n = 28
+    monkeypatch.setattr(certificates, "p_diff_sign",
+                        lambda b, n: -real(b, n) if (b, n) in flipped else real(b, n))
+    cert = check_boundary_cases(n_scan=40)
+    assert cert.status == VIOLATED
+    assert [(w.claim_id, w.b, w.n, w.note) for w in cert.witnesses] == [
+        ("appB-boundary", 2, 20, "sign-vs-boundary"), ("appB-boundary", 16, 21, "sign-vs-boundary")]
 
 
 def test_boundary_cases_verified():

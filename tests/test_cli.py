@@ -1,6 +1,7 @@
 """CLI surface: exit codes, deterministic byte-identical output, JSON schema,
 config-file precedence, atomic --out writes, and backend equivalence."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -68,6 +69,14 @@ def test_violation_exit_one(capsys):
     ["poisson", "--b-max", "0"],
     ["scan-p", "--n-max", "10", "--workers", "0"],
     ["scan-z", "--n-max", "10", "--workers", "-2"],
+    ["verify", "--claims", ","],
+    ["verify", "--claims", "1", "--n-max", "1"],
+    ["verify", "--claims", "2", "--n-max", "2"],
+    ["verify", "--claims", "3", "--n-max", "9"],
+    ["certify", "exp-bounds", "--n-max", "3"],
+    ["smalldev", "conjecture", "--n-max", "1"],
+    ["smalldev", "samuels", "--n-max", "0"],
+    ["smalldev", "monotonicity", "--n-max", "0"],
 ])
 def test_vacuous_runs_and_bad_workers_are_usage_errors(argv, capsys):
     code = main(argv)
@@ -111,6 +120,23 @@ def test_byte_identical_reruns(capsys):
     _, j2 = run_cli(["verify", "--claims", "1", "--n-max", "20",
                      "--format", "json"], capsys)
     assert j1 == j2
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    (["verify"], 1, "27d780d9150f32e9c4fe8d99a1ef36d46f6e205c035f4a2c0a79cb36f3f9f662"),
+    (["poisson", "--b-max", "40"], 0,
+     "7227b109884f6844c285b1c3f1d0afd591389b2e5836cb61f3b3efb78a4b4157"),
+    (["certify", "appendix-b"], 0,
+     "38d6bf0b0244be325ab956ae3f05f974e15fcb9abb79525c85b9f963fcd92843"),
+    (["scan-p", "--n-max", "60"], 0,
+     "2c7c6f545aedb6657b107409e3f4ec9708019f866af909fdf95ec23ad6247937"),
+])
+def test_pinned_report_digests(argv, code, digest, capsys):
+    """CSV reports carry no backend name, so these digests hold on both
+    backends; a change to any row, witness or exit code shows here."""
+    got_code, out = run_cli(argv, capsys)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_workers_do_not_change_output(capsys):

@@ -14,6 +14,7 @@ from binram.poisson import (
     beta_meets_upper_bound,
     beta_upper_bound,
     factorial_moment_identity,
+    factorial_moment_row,
     falling_factorial_sum,
     pmf_weight,
     poisson_tail,
@@ -82,9 +83,10 @@ def test_y_strictly_decreasing_sample():
 
 
 def test_factorial_moment_identity():
-    for b in range(1, 30):
-        for s in range(1, b + 1):
-            assert factorial_moment_identity(b, s)
+    for b in range(1, 61):
+        per_pair = [factorial_moment_identity(b, s) for s in range(1, b + 1)]
+        assert all(per_pair)
+        assert factorial_moment_row(b) == per_pair
     with pytest.raises(DomainError):
         factorial_moment_identity(3, 4)
 
