@@ -8,7 +8,7 @@ that reduce the monotonicity theorems to finite checks, and ships a CLI
 (`binram`) emitting deterministic CSV/JSON reports.
 """
 
-from .backend import BACKEND, Int, Rat, as_rat
+from .backend import BACKEND, Rat, as_rat
 from .exactcore import (
     BinomialSpec,
     DomainError,

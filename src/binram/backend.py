@@ -21,21 +21,14 @@ if _requested not in ("auto", "gmpy2", "fractions"):
 
 if _requested in ("auto", "gmpy2"):
     try:
-        from gmpy2 import mpq as Rat, mpz as Int  # type: ignore
-
-        BACKEND = "gmpy2"
+        from gmpy2 import mpq as Rat  # type: ignore
     except ImportError:
         if _requested == "gmpy2":
             raise
-        from fractions import Fraction as Rat  # type: ignore
-
-        Int = int  # type: ignore
-        BACKEND = "fractions"
-else:
+        _requested = "fractions"
+if _requested == "fractions":
     from fractions import Fraction as Rat  # type: ignore
-
-    Int = int  # type: ignore
-    BACKEND = "fractions"
+BACKEND = "fractions" if _requested == "fractions" else "gmpy2"
 
 
 def as_rat(x) -> "Rat":

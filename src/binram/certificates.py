@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import kernel, poisson
-from .backend import Int, Rat, decimal_str
+from .backend import Rat, decimal_str
 from .exactcore import BinomialSpec, DomainError, p_diff_sign, ramanujan_z, tail_numerator
 from .intervals import IntervalValue, e_enclosure
 from .report import Report, ViolationReport
@@ -225,38 +225,59 @@ def check_above_half(bt_lo: int = 5, bt_hi: int = 10**3, spot_stride: int = 37) 
 # -- rational-power exponential bounds ----------------------------------------
 
 
+def _chain_links(k_hi: int):
+    """Yield (k, lhs, rhs), k = 1..k_hi: lhs < rhs is the link f(k) < f(k+1),
+    i.e. (k+1)^(2k+1) < k^k (k+2)^(k+1), times (k+1)(k+2): with s_j = j^j it
+    reads (k+2) s_{k+1}^2 < (k+1) s_k s_{k+2}, and each s_j is computed once."""
+    s_k, s_k1 = 1, 4
+    for k in range(1, k_hi + 1):
+        s_k2 = (k + 2) ** (k + 2)
+        yield k, (k + 2) * s_k1 * s_k1, (k + 1) * s_k * s_k2
+        s_k, s_k1 = s_k1, s_k2
+
+
+def _low_side(b: int, n: int, down_pow: list) -> tuple:
+    """Sides of the low-side comparison (b+1)^b (m-1)^(m-1) < b^b m^(m-1), m = n-b,
+    from down_pow[k] = k^(k-1); the high-side comparison is the pair reversed."""
+    return down_pow[b + 1] * down_pow[n - b - 1] * (n - b - 1), down_pow[b] * b * down_pow[n - b]
+
+
+def _exp_bounds_sides(n_max: int):
+    """Yield (b, n, lhs, rhs, note) for every comparison lhs < rhs of the
+    direct O(n_max^2) scan, with k^(k-1) tabled once."""
+    down_pow = [1] + [k ** (k - 1) for k in range(1, n_max + 1)]
+    for n in range(4, n_max + 1):
+        for b in range(1, (n - 2) // 2 + 1):
+            yield (b, n, *_low_side(b, n, down_pow), "low-side")
+    for n in range(6, n_max + 1):
+        for b in range((n + 2) // 2, n - 1):
+            yield (b, n, *_low_side(b, n, down_pow)[::-1], "high-side")
+
+
 def check_exp_bounds(n_max: int = 2000) -> InequalityCertificate:
     """Transcendental-free forms of the two log bounds, exact big-integer
     comparisons:
 
       (1 + 1/b)^b (1 - 1/(n-b))^(n-b-1) < 1      for 1 <= b <= (n-2)/2,
       (1 - 1/(b+1))^b (1 + 1/(n-b-1))^(n-b-1) < 1 for (n+1)/2 <= b <= n-2, n >= 6.
+
+    Proof by a monotone chain.  Write f(k) = (1 + 1/k)^k and m = n - b.  The
+    low side, cleared of denominators, is (b+1)^b (m-1)^(m-1) < b^b m^(m-1),
+    exactly f(b) < f(m-1), and its band 2b <= n-2 gives b < m-1.  The high
+    side is b^b m^(m-1) < (b+1)^b (m-1)^(m-1), exactly f(m-1) < f(b), and its
+    band 2b >= n+1 gives m-1 < b.  As 1 <= b <= n-2, both indices lie in
+    1..n_max-2, so every comparison holds once f is strictly increasing there:
+    the n_max-3 links f(k) < f(k+1), k = 1..n_max-3, checked exactly.  If a
+    link fails, the direct scan decides and lists the exact witnesses.
     """
     if n_max < 4:
         raise DomainError(f"exp-bounds needs n_max >= 4, got {n_max}")
     rng = RangeSpec("exp-bounds", 1, n_max - 2, 4, n_max)
     cert = InequalityCertificate("eq-negative_appendix", rng)
-    # k^k and k^(k-1) tables make each comparison two big multiplications
-    one = Int(1)
-    self_pow = [one] * (n_max + 1)
-    down_pow = [one] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        down_pow[k] = Int(k) ** (k - 1)
-        self_pow[k] = down_pow[k] * k
-    for n in range(4, n_max + 1):
-        for b in range(1, (n - 2) // 2 + 1):
-            m = n - b
-            lhs = down_pow[b + 1] * self_pow[m - 1]  # (b+1)^b (m-1)^(m-1)
-            rhs = self_pow[b] * down_pow[m]  # b^b m^(m-1)
+    if not all(lhs < rhs for _, lhs, rhs in _chain_links(n_max - 3)):
+        for b, n, lhs, rhs, note in _exp_bounds_sides(n_max):
             if not lhs < rhs:
-                cert.record_violation(b, n, lhs, rhs, note="low-side")
-    for n in range(6, n_max + 1):
-        for b in range((n + 1 + 1) // 2, n - 1):
-            m = n - b
-            lhs = self_pow[b] * down_pow[m]
-            rhs = down_pow[b + 1] * self_pow[m - 1]
-            if not lhs < rhs:
-                cert.record_violation(b, n, lhs, rhs, note="high-side")
+                cert.record_violation(b, n, lhs, rhs, note=note)
     return cert.finish()
 
 

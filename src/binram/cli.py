@@ -53,10 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _grid_step(text: str):
     try:
-        if "/" in text:
-            p, q = text.split("/", 1)
-            return Rat(int(p), int(q))
-        return Rat(int(text))
+        return as_rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid step {text!r}: expected P/Q") from exc
 
@@ -111,8 +108,10 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv: list) -> argparse.Namespace:
-    """Parse, then fold --config key=value pairs into any option the user did
-    not pass explicitly on the command line."""
+    """Parse, then parse again with the --config key=value pairs as defaults of
+    the subcommand's options: a flag given on the command line, in any form
+    argparse accepts, still wins, and argparse converts each value it uses with
+    the option's declared type, as it would the flag."""
     args = parser.parse_args(argv)
     if not args.config:
         return args
@@ -121,7 +120,9 @@ def _apply_config(parser: _Parser, argv: list) -> argparse.Namespace:
             lines = fh.read().splitlines()
     except OSError as exc:
         parser.error(f"cannot read config {args.config}: {exc}")
-    explicit = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -129,21 +130,15 @@ def _apply_config(parser: _Parser, argv: list) -> argparse.Namespace:
         if "=" not in line:
             parser.error(f"bad config line (expected key=value): {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if f"--{key.replace('_', '-')}" in explicit or not hasattr(args, dest):
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             continue
-        current = getattr(args, dest)
-        try:
-            if dest == "grid_step":
-                value = _grid_step(value)
-            elif isinstance(current, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"bad config value for {key}: {exc}")
-        setattr(args, dest, value)
-    return args
+        if action.choices and value not in action.choices:
+            parser.error(f"bad config value for {key}: {value!r} is not one of "
+                         f"{', '.join(action.choices)}")
+        defaults[action.dest] = value
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _emit(report: Report, args) -> int:

@@ -65,7 +65,7 @@ def _enclosed_signs(n: int, b_lo: int, b_hi: int, policy: PrecisionPolicy) -> li
               for b in sorted({c for b in pending for c in (b, b + 1)})}
         for b in pending:
             z0, z1 = zs[b], zs[b + 1]
-            if z1.strictly_above(z0):
+            if z0.strictly_below(z1):
                 signs[b] = 1
             elif z1.strictly_below(z0):
                 signs[b] = -1

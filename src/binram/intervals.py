@@ -112,16 +112,10 @@ class IntervalValue:
         x = as_rat(x)
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "IntervalValue") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def strictly_below(self, other) -> bool:
         """True iff every point of self is < every point of other."""
         other = _coerce(other)
         return self.hi < other.lo
-
-    def strictly_above(self, other) -> bool:
-        return _coerce(other).strictly_below(self)
 
     def sign(self) -> int:
         """Certain sign of the enclosed real, or raise if inconclusive."""

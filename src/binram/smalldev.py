@@ -11,6 +11,7 @@ tests lives with the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .backend import Rat, as_rat
@@ -74,11 +75,6 @@ def tilde_p(spec: SmallDevSpec):
     return binomial_tail_below(spec.n, q, spec.b)
 
 
-def _ceil_rat(x) -> int:
-    x = as_rat(x)
-    return -((-x.numerator) // x.denominator)
-
-
 def two_point_tail(dist: TwoPointDist, n: int):
     """The exact sum-tail of n i.i.d. copies of the two-point distribution.
 
@@ -87,7 +83,7 @@ def two_point_tail(dist: TwoPointDist, n: int):
     arguments map to themselves.
     """
     a, be = as_rat(dist.alpha), as_rat(dist.beta)
-    b = _ceil_rat((n + 1 - n * a) / (be - a))
+    b = math.ceil((n + 1 - n * a) / (be - a))
     p = binomial_tail_below(n, dist.p_beta, b)
     return b, p
 

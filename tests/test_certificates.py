@@ -76,13 +76,95 @@ def test_exp_bounds_verified_small():
 
 
 def test_exp_bounds_equality_edge():
-    # at (b, m) = (b, b+1) the two sides coincide: (b+1)^b b^b = b^b (b+1)^b;
-    # the scanned bands exclude it, so it must not appear as a violation
+    # at n = 2b+1, m = b+1, the low-side comparison is f(b) < f(b): its two
+    # sides are equal, which is why the low band stops at b <= (n-2)/2
     cert = check_exp_bounds(24)
     assert cert.status == VERIFIED
-    from binram.backend import Int
-    b = 10
-    assert Int(b + 1) ** b * Int(b) ** b == Int(b) ** b * Int(b + 1) ** b
+    down_pow = [1] + [k ** (k - 1) for k in range(1, 25)]
+    for b in range(1, 12):
+        lhs, rhs = certificates._low_side(b, 2 * b + 1, down_pow)
+        assert lhs == rhs == (b + 1) ** b * b**b
+        lhs, rhs = certificates._low_side(b, 2 * b + 2, down_pow)
+        assert lhs < rhs  # the band's own last point stays strict
+
+
+def _failing_link(monkeypatch, bad_k=2):
+    """Make link k = bad_k of the monotone chain fail; return the list that
+    counts the comparisons the direct scan then hands out."""
+    real_links, real_sides = certificates._chain_links, certificates._exp_bounds_sides
+    handed_out = []
+
+    def links(k_hi):
+        for k, lhs, rhs in real_links(k_hi):
+            yield (k, rhs, lhs) if k == bad_k else (k, lhs, rhs)
+
+    def sides(n_max):
+        for side in real_sides(n_max):
+            handed_out.append(side[:2])
+            yield side
+
+    monkeypatch.setattr(certificates, "_chain_links", links)
+    monkeypatch.setattr(certificates, "_exp_bounds_sides", sides)
+    return handed_out
+
+
+def _summary(cert):
+    return cert.status, cert.range.describe(), [w.as_row() for w in cert.witnesses]
+
+
+def test_exp_bounds_chain_matches_the_direct_scan():
+    sizes = list(range(4, 121)) + [300]
+    chain = {n: _summary(check_exp_bounds(n)) for n in sizes}
+    with pytest.MonkeyPatch.context() as mp:
+        _failing_link(mp, bad_k=1)  # k = 1 is in every chain, so every size falls back
+        direct = {n: _summary(check_exp_bounds(n)) for n in sizes}
+    assert chain == direct
+    assert chain[300] == (VERIFIED, "exp-bounds: b in [1, 298], n in [4, 300]", [])
+
+
+def test_chain_links_compare_consecutive_f():
+    # lhs/rhs of link k is f(k)/f(k+1) for f(k) = (1 + 1/k)^k, so lhs < rhs
+    # says exactly f(k) < f(k+1)
+    links = list(certificates._chain_links(60))
+    assert [k for k, _, _ in links] == list(range(1, 61))
+    for k, lhs, rhs in links:
+        assert Rat(lhs, rhs) == Rat(k + 1, k) ** k / Rat(k + 2, k + 1) ** (k + 1)
+
+
+def test_exp_bounds_failing_link_falls_back_to_the_direct_scan(monkeypatch):
+    handed_out = _failing_link(monkeypatch, bad_k=17)
+    check_exp_bounds(19)  # its chain ends at k = 16, so it never reaches the bad link
+    assert handed_out == []
+    cert = check_exp_bounds(40)
+    assert cert.status == VERIFIED  # every direct comparison holds
+    # the scan ran in full: 361 low-side and 341 high-side comparisons
+    assert len(set(handed_out)) == len(handed_out) == 361 + 341
+    assert {n for _, n in handed_out} == set(range(4, 41))
+    handed_out.clear()
+    check_exp_bounds(20)  # its last link is k = n_max - 3 = 17
+    assert handed_out
+
+
+def test_exp_bounds_fallback_witnesses_reach_the_certificate(monkeypatch):
+    _failing_link(monkeypatch)
+    real_low_side = certificates._low_side
+    falsified = {(3, 10), (7, 10)}  # (3, 10) is on the low band, (7, 10) on the high band
+
+    def low_side(b, n, down_pow):
+        lhs, rhs = real_low_side(b, n, down_pow)
+        return (rhs, lhs) if (b, n) in falsified else (lhs, rhs)
+
+    monkeypatch.setattr(certificates, "_low_side", low_side)
+    cert = check_exp_bounds(12)
+    assert cert.status == VIOLATED
+    assert [(w.claim_id, w.b, w.n, w.note) for w in cert.witnesses] == [
+        ("eq-negative_appendix", 3, 10, "low-side"),
+        ("eq-negative_appendix", 7, 10, "high-side"),
+    ]
+    low, high = cert.witnesses
+    # both rows carry the exact, swapped sides: (b+1)^b (m-1)^(m-1) vs b^b m^(m-1)
+    assert (low.raw_lhs, low.raw_rhs) == (f"{3**3 * 7**6}/1", f"{4**3 * 6**6}/1")
+    assert (high.raw_lhs, high.raw_rhs) == (f"{8**7 * 2**2}/1", f"{7**7 * 3**2}/1")
 
 
 def test_z_lowerbound_thresholds_at_range_start():

@@ -173,10 +173,26 @@ def test_config_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["meta"]["n_max"] == 25
-    # explicit flag wins over config
-    code, out = run_cli(["--config", str(cfg), "scan-p", "--n-max", "10"], capsys)
-    doc = json.loads(out)
-    assert doc["meta"]["n_max"] == 10
+    # explicit flag wins over config, in every form argparse accepts
+    for flag in (["--n-max", "10"], ["--n-max=10"], ["--n-m", "10"]):
+        code, out = run_cli(["--config", str(cfg), "scan-p", *flag], capsys)
+        doc = json.loads(out)
+        assert doc["meta"]["n_max"] == 10, flag
+
+
+def test_config_values_take_the_option_type(tmp_path, capsys):
+    # smalldev's --n-max defaults to None; a config value for it must still be
+    # converted with the option's declared type
+    cfg = tmp_path / "binram.cfg"
+    cfg.write_text("n-max = 30\ngrid-step = 1/10\n")
+    via_config = run_cli(["--config", str(cfg), "smalldev", "samuels"], capsys)
+    assert via_config == run_cli(["smalldev", "samuels", "--n-max", "30"], capsys)
+    assert via_config[0] == 0 and "samuels,2,30,scanned" in via_config[1]
+    for bad in ("n-max = thirty", "grid-step = a/b", "format = xml"):
+        cfg.write_text(bad + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "smalldev", "samuels"])
+        assert exc.value.code == 64, bad
 
 
 def test_config_bad_line_rejected(tmp_path, capsys):
