@@ -18,11 +18,12 @@ derivatives of every order at the range top stays positive to the right.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import kernel, poisson
 from .backend import Rat, decimal_str
-from .exactcore import BinomialSpec, DomainError, p_diff_sign, ramanujan_z, tail_numerator
+from .exactcore import BinomialSpec, DomainError, p_diff_sign, tail_numerator, tail_pmf_head
 from .intervals import IntervalValue, e_enclosure
 from .report import Report, ViolationReport
 
@@ -302,6 +303,57 @@ def z_diff_lower_bound(b: int, n: int):
     return Rat(n**n, (n - b) * (b + 1) ** b * m ** (m)) * bracket
 
 
+def _z_bound_gap(b: int, n: int, s_n: int, p: int, q: int, head: tuple, head1: tuple) -> int:
+    """An integer with the sign of z_diff_lower_bound(b, n) - (z(b+1, n) - z(b, n)),
+    for 1 <= b <= (n-1)/2: the bound holds at (b, n) iff it is <= 0.  The
+    inputs are s_n = n**n, p = (n-b)**(n-b), q = m**m with m = n-b-1, and the
+    kernel heads head = (A, t) and head1 = (A1, t1) of
+    exactcore.tail_pmf_head(n, c, c, n) at c = b and b+1.
+
+    Proof.  The domain gives m >= b >= 1, so every factor cleared below is a
+    positive integer.  From the head, P(X < b) = A p / s_n and
+    P(X = b) = t p / s_n, so z(b, n) = (s_n/p - 2A) / (2t); likewise
+    z(b+1, n) = (s_n/q - 2A1) / (2t1), as (n-b-1)**(n-b-1) = q.  Hence
+
+        2 t t1 p q (z(b+1, n) - z(b, n)) = t s_n p - t1 s_n q + 2 (t1 A - t A1) p q.
+
+    In the bound, x**b (m/n)**(n-b) = (b+1)**b m q / s_n, so its second term
+    times the prefactor s_n / ((m+1) (b+1)**b q) is m F / (m+1), with
+    F = F_num / F_den the bracketed factor over F_den = 18 (b+1)**2 m**2.  The
+    cell integral is G = [hi (m+1) p - lo m**2 q] / (L s_n), with
+    L = lcm(n-b+1, ..., n) and hi, lo the kernel.integral_sum at (n-b)/n and
+    m/n, since (n-b)**(n-b+1) = (m+1) p and m**(n-b+1) = m**2 q.  So
+
+        bound = b [hi (m+1) p - lo m**2 q] / (L (m+1) (b+1)**b q) - m F_num / ((m+1) F_den).
+
+    Multiply bound - difference by 2 t t1 p q gamma > 0, with
+    gamma = L (m+1) (b+1)**b F_den: every denominator clears, and the gap
+    returned is the integer
+
+        (bound - difference) 2 t t1 p q gamma = p X + gamma t1 s_n q,
+        X = 2 t t1 [b F_den (hi (m+1) p - lo m**2 q) - m F_num L (b+1)**b q]
+            + gamma [2 (t A1 - t1 A) q - t s_n],
+
+    with X linear in p, q and s_n.  That leaves two big products, p X and
+    s_n q.
+    """
+    (a0, t0), (a1, t1) = head, head1
+    m = n - b - 1
+    lcm = math.lcm(*range(m + 2, n + 1))
+    hi = kernel.integral_sum(b, n, m + 1, n, lcm)
+    lo = kernel.integral_sum(b, n, m, n, lcm)
+    f_den = 18 * (b + 1) ** 2 * m**2
+    f_num = f_den - 3 * (b + 1) * m**2 - m**2 + 3 * (b + 1) ** 2 * m + 3 * (b + 1) ** 2
+    c = lcm * (b + 1) ** b
+    gamma = c * (m + 1) * f_den
+    tt = 2 * t0 * t1
+    # X with its small coefficients formed first: three big-by-small products
+    x = (tt * b * f_den * (m + 1) * hi * p
+         - (tt * (b * f_den * m**2 * lo + m * f_num * c) + 2 * gamma * (t1 * a0 - t0 * a1)) * q
+         - gamma * t0 * s_n)
+    return p * x + gamma * t1 * s_n * q
+
+
 def check_z_lowerbound(
     b_lo: int = 6, b_hi: int = 40, n_max: int = 200, diag_n_max: int = 201
 ) -> InequalityCertificate:
@@ -310,7 +362,10 @@ def check_z_lowerbound(
 
     The underlying claim is asymptotic ('n large enough'), so small-n failures
     are recorded as thresholds, not as violations; the certificate is violated
-    only if no threshold exists within the scanned range.
+    only if no threshold exists within the scanned range.  Each point is
+    decided by the sign of :func:`_z_bound_gap`.  The scan runs n by n, so
+    the heads of b_lo..b_hi+1 are built once per n, and each j**j once for
+    all the n that use it; witnesses carry the exact z_diff_lower_bound.
     """
     if n_max > 2000:
         raise DomainError("exact scan guarded at n <= 2000")
@@ -320,18 +375,19 @@ def check_z_lowerbound(
         raise DomainError("n_max too small for the scanned b range")
     rng = RangeSpec("z-lowerbound", b_lo, b_hi, 2 * b_lo + 2, n_max)
     cert = InequalityCertificate("eq-diff_z_bn_lowerbound", rng)
-    thresholds = {}
-    for b in range(b_lo, b_hi + 1):
-        first_good = None
-        for n in range(2 * b + 2, n_max + 1):
-            bound = z_diff_lower_bound(b, n)
-            diff = ramanujan_z(BinomialSpec(b + 1, n)) - ramanujan_z(BinomialSpec(b, n))
-            if bound <= diff:
-                if first_good is None:
-                    first_good = n
-            else:
-                first_good = None  # must hold contiguously up to n_max
-        thresholds[b] = first_good
+    last_fail = {b: 2 * b + 1 for b in range(b_lo, b_hi + 1)}  # last n that fails; 2b+1 if none
+    powers = {}  # j -> j**j, for the j the current n uses
+    for n in range(2 * b_lo + 2, n_max + 1):
+        top = min(b_hi, (n - 2) // 2)
+        powers = {j: powers.get(j) or j**j for j in range(n - top - 1, n - b_lo + 1)}
+        heads = [tail_pmf_head(n, b, b, n) for b in range(b_lo, top + 2)]
+        s_n = n**n
+        for b in range(b_lo, top + 1):
+            head, head1 = heads[b - b_lo], heads[b - b_lo + 1]
+            if _z_bound_gap(b, n, s_n, powers[n - b], powers[n - b - 1], head, head1) > 0:
+                last_fail[b] = n  # must hold contiguously up to n_max
+    thresholds = {b: n + 1 if n < n_max else None for b, n in last_fail.items()}
+    for b, first_good in thresholds.items():
         if first_good is None:
             cert.record_violation(b, n_max, z_diff_lower_bound(b, n_max), 0,
                                   note="no threshold within range")
@@ -339,9 +395,8 @@ def check_z_lowerbound(
     diag = {}
     for n in range(2 * b_lo + 3, diag_n_max + 1, 2):
         b = (n - 1) // 2
-        bound = z_diff_lower_bound(b, n)
-        diff = ramanujan_z(BinomialSpec(b + 1, n)) - ramanujan_z(BinomialSpec(b, n))
-        diag[n] = bool(bound <= diff)
+        diag[n] = _z_bound_gap(b, n, n**n, (b + 1) ** (b + 1), b**b, tail_pmf_head(n, b, b, n),
+                               tail_pmf_head(n, b + 1, b + 1, n)) <= 0
     cert.extra["thresholds"] = thresholds
     cert.extra["diagonal_holds"] = diag
     return cert.finish()

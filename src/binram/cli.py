@@ -271,10 +271,12 @@ def cmd_certify(args) -> int:
                  check_r_positivity()]
     elif args.target == "root-bounds":
         certs = [check_root_bounds()]
+    elif args.n_max > 2000:  # the two scans below, exact up to n_max
+        raise ResourceError(f"certify {args.target} is exact and guarded at --n-max <= 2000")
     elif args.target == "exp-bounds":
-        certs = [check_exp_bounds(n_max=min(args.n_max, 2000))]
+        certs = [check_exp_bounds(n_max=args.n_max)]
     else:  # z-lowerbound
-        certs = [check_z_lowerbound(n_max=min(args.n_max, 2000))]
+        certs = [check_z_lowerbound(n_max=args.n_max)]
     return _emit(_certificate_report(args, certs), args)
 
 

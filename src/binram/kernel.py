@@ -181,26 +181,32 @@ def derivative_value(spec: BinomialSpec, order: int, z):
 # -- exact integration ------------------------------------------------------
 
 
-def integral_from_zero(spec: BinomialSpec, u):
-    """Exact integral of the kernel over [0, u].
+def integral_sum(b: int, n: int, p: int, q: int, lcm: int) -> int:
+    """The integer sum_j c_j p**j q**(b-1-j), c_j = (-1)**j C(b-1, j) lcm/k,
+    k = n-b+1+j, built by Horner in q, for lcm = lcm(n-b+1, ..., n).
 
-    Termwise it is sum_j (-1)**j C(b-1, j) u**k / k with k = n-b+1+j.  With
-    u = p/q and L = lcm(n-b+1, ..., n), the sum is p**(n-b+1) / (L q**n)
-    times the integer sum_j c_j p**j q**(b-1-j), c_j = (-1)**j C(b-1, j) L/k,
-    which is built by Horner in q, so only the final fraction is reduced.
+    The kernel integral over [0, p/q] is this sum times p**(n-b+1) / (lcm q**n):
+    termwise it is sum_j (-1)**j C(b-1, j) (p/q)**k / k.  Each term is
+    homogeneous of degree 0 in (p, q), so p/q need not be in lowest terms.
     """
+    acc, c, p_j = 0, 1, 1  # c = (-1)**j C(b-1, j), p_j = p**j
+    for j in range(b):
+        acc = acc * q + c * (lcm // (n - b + 1 + j)) * p_j
+        c = -c * (b - 1 - j) // (j + 1)
+        p_j *= p
+    return acc
+
+
+def integral_from_zero(spec: BinomialSpec, u):
+    """Exact integral of the kernel over [0, u], from :func:`integral_sum`;
+    only the final fraction is reduced."""
     u = as_rat(u)
     if not (0 <= u <= 1):
         raise DomainError("upper limit outside [0, 1]")
     b, n = spec.b, spec.n
     p, q = int(u.numerator), int(u.denominator)
     lcm = math.lcm(*range(n - b + 1, n + 1))
-    acc, c, p_j = 0, 1, 1  # c = (-1)**j C(b-1, j), p_j = p**j
-    for j in range(b):
-        acc = acc * q + c * (lcm // (n - b + 1 + j)) * p_j
-        c = -c * (b - 1 - j) // (j + 1)
-        p_j *= p
-    return Rat(acc * p ** (n - b + 1), lcm * q**n)
+    return Rat(integral_sum(b, n, p, q, lcm) * p ** (n - b + 1), lcm * q**n)
 
 
 def full_integral(spec: BinomialSpec):

@@ -2,6 +2,9 @@
 violations of the medium-band sufficient inequality, sharpness probes, and the
 derivative-sign tail argument."""
 
+import math
+import random
+
 import pytest
 
 from binram import certificates
@@ -10,6 +13,7 @@ from binram.certificates import (
     VERIFIED,
     VIOLATED,
     _tail_positive,
+    _z_bound_gap,
     above_half_bracket,
     check_above_half,
     check_boundary_cases,
@@ -22,7 +26,7 @@ from binram.certificates import (
     thm3_sign_suite,
     z_diff_lower_bound,
 )
-from binram.exactcore import BinomialSpec, DomainError, ramanujan_z
+from binram.exactcore import BinomialSpec, DomainError, ramanujan_z, tail_pmf_head
 from binram.kernel import eval_P
 from binram.report import Report
 
@@ -180,6 +184,108 @@ def test_z_lowerbound_is_a_true_lower_bound():
         bound = z_diff_lower_bound(b, n)
         diff = ramanujan_z(BinomialSpec(b + 1, n)) - ramanujan_z(BinomialSpec(b, n))
         assert bound <= diff
+
+
+def _gap_at(b, n):
+    """certificates._z_bound_gap(b, n) with its inputs built directly, and the
+    positive factor 2 t t1 p q gamma that clears the denominators of its proof."""
+    head, head1 = tail_pmf_head(n, b, b, n), tail_pmf_head(n, b + 1, b + 1, n)
+    m = n - b - 1
+    p, q = (m + 1) ** (m + 1), m**m
+    gamma = math.lcm(*range(n - b + 1, n + 1)) * (m + 1) * (b + 1) ** b * 18 * (b + 1) ** 2 * m**2
+    return _z_bound_gap(b, n, n**n, p, q, head, head1), 2 * head[1] * head1[1] * p * q * gamma
+
+
+def test_z_bound_gap_is_the_cleared_rational_gap():
+    """The integer gap is (bound - difference) times a positive factor, so its
+    sign decides bound <= difference exactly: at every point with n <= 80 and
+    at 300 seeded points with 6 <= b <= 40, n <= 400."""
+    rng = random.Random(8)
+    points = [(b, n) for n in range(3, 81) for b in range(1, (n - 1) // 2 + 1)]
+    points += [(b, n) for n in (rng.randint(14, 400) for _ in range(300))
+               for b in [rng.randint(6, min(40, (n - 1) // 2))]]
+    for b, n in points:
+        bound = z_diff_lower_bound(b, n)
+        diff = ramanujan_z(BinomialSpec(b + 1, n)) - ramanujan_z(BinomialSpec(b, n))
+        gap, scale = _gap_at(b, n)
+        assert (gap <= 0) == (bound <= diff), (b, n)
+        assert Rat(gap, scale) == bound - diff, (b, n)
+
+
+def _rat_scan(b_lo, b_hi, n_max, diag_n_max):
+    """The per-point Rat comparison that check_z_lowerbound replaced, as its oracle."""
+    b_hi = min(b_hi, (n_max - 2) // 2)
+    diag_n_max = min(diag_n_max, n_max + 1)
+    rng = certificates.RangeSpec("z-lowerbound", b_lo, b_hi, 2 * b_lo + 2, n_max)
+    cert = certificates.InequalityCertificate("eq-diff_z_bn_lowerbound", rng)
+
+    def holds(b, n):
+        diff = ramanujan_z(BinomialSpec(b + 1, n)) - ramanujan_z(BinomialSpec(b, n))
+        return z_diff_lower_bound(b, n) <= diff
+
+    thresholds = {}
+    for b in range(b_lo, b_hi + 1):
+        first_good = None
+        for n in range(2 * b + 2, n_max + 1):
+            if holds(b, n):
+                if first_good is None:
+                    first_good = n
+            else:
+                first_good = None
+        thresholds[b] = first_good
+        if first_good is None:
+            cert.record_violation(b, n_max, z_diff_lower_bound(b, n_max), 0,
+                                  note="no threshold within range")
+    cert.extra["thresholds"] = thresholds
+    cert.extra["diagonal_holds"] = {n: holds((n - 1) // 2, n)
+                                    for n in range(2 * b_lo + 3, diag_n_max + 1, 2)}
+    return cert.finish()
+
+
+@pytest.mark.parametrize("n_max", [14, 15, 41, 80, 200])
+def test_z_lowerbound_matches_the_rat_scan(n_max):
+    got, want = check_z_lowerbound(n_max=n_max), _rat_scan(6, 40, n_max, 201)
+    assert got.status == want.status == VERIFIED
+    assert got.range.describe() == want.range.describe()
+    assert got.extra["thresholds"] == want.extra["thresholds"]
+    assert got.extra["diagonal_holds"] == want.extra["diagonal_holds"]
+    assert [w.as_row() for w in got.witnesses] == [w.as_row() for w in want.witnesses]
+
+
+def test_z_lowerbound_scan_feeds_each_point_its_own_inputs(monkeypatch):
+    """The scan shares heads and powers across b and n; every point it decides,
+    diagonal included, must get the gap built from its own inputs."""
+    real, calls = certificates._z_bound_gap, []
+
+    def spy(b, n, *rest):
+        calls.append((b, n, real(b, n, *rest)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(certificates, "_z_bound_gap", spy)
+    check_z_lowerbound(n_max=60)
+    scan = {(b, n) for n in range(14, 61) for b in range(6, (n - 2) // 2 + 1)}
+    diagonal = {((n - 1) // 2, n) for n in range(15, 62, 2)}
+    assert sorted((b, n) for b, n, _ in calls) == sorted(scan | diagonal)
+    for b, n, gap in calls:
+        assert gap == _gap_at(b, n)[0], (b, n)
+
+
+def test_z_lowerbound_failing_points_set_thresholds_and_witnesses(monkeypatch):
+    """A failure at (7, 50) moves b = 7's threshold to 51; a failure at
+    (9, n_max) leaves b = 9 without one, witnessed by the exact bound."""
+    real = certificates._z_bound_gap
+    failing = {(7, 50), (9, 60)}
+    monkeypatch.setattr(certificates, "_z_bound_gap",
+                        lambda b, n, *rest: 1 if (b, n) in failing else real(b, n, *rest))
+    cert = check_z_lowerbound(n_max=60)
+    assert cert.status == VIOLATED
+    assert cert.extra["thresholds"] == {b: {7: 51, 9: None}.get(b, 2 * b + 2) for b in range(6, 30)}
+    (witness,) = cert.witnesses
+    assert (witness.claim_id, witness.b, witness.n, witness.note) == (
+        "eq-diff_z_bn_lowerbound", 9, 60, "no threshold within range")
+    exact = z_diff_lower_bound(9, 60)
+    assert witness.raw_lhs == f"{exact.numerator}/{exact.denominator}"
+    assert witness.raw_rhs == "0/1"
 
 
 def test_z_lowerbound_domain_guards():

@@ -49,6 +49,15 @@ def test_resource_guard_scan_z(capsys):
     assert code == 70
 
 
+@pytest.mark.parametrize("target", ["exp-bounds", "z-lowerbound"])
+def test_resource_guard_certify(target, capsys):
+    code = main(["certify", target, "--n-max", "5000"])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err.startswith("binram: resource guard: ")
+
+
 def test_clean_run_exit_zero(capsys):
     code, out = run_cli(["scan-p", "--n-max", "40"], capsys)
     assert code == 0
@@ -130,6 +139,8 @@ def test_byte_identical_reruns(capsys):
      "38d6bf0b0244be325ab956ae3f05f974e15fcb9abb79525c85b9f963fcd92843"),
     (["scan-p", "--n-max", "60"], 0,
      "2c7c6f545aedb6657b107409e3f4ec9708019f866af909fdf95ec23ad6247937"),
+    (["certify", "z-lowerbound", "--n-max", "120"], 0,
+     "02d8c929a90701f17a88a1eaf7ae5ee5ceafeae4176d4a58372c97c29862bbf3"),
 ])
 def test_pinned_report_digests(argv, code, digest, capsys):
     """CSV reports carry no backend name, so these digests hold on both
