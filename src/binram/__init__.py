@@ -21,10 +21,10 @@ from .exactcore import (
     tail_p,
     tail_value,
     z_diff_signs,
-    z_symmetry_check,
+    z_symmetry_row,
 )
 from .highprec import claim5_residual, theorem2_threshold, z_diff_sign, z_highprec
-from .intervals import IntervalValue, e_enclosure, exp_neg_enclosure, pi_bracket
+from .intervals import IntervalValue, e_enclosure, exp_neg_enclosure
 from .kernel import (
     DeltaCell,
     IntegerPolynomial,
@@ -32,7 +32,6 @@ from .kernel import (
     TaylorSandwich,
     derivative_closed_form,
     derivative_oracle,
-    derivative_value,
     eval_P,
     eval_Q,
     eval_R,
@@ -50,7 +49,6 @@ from .poisson import (
     beta_upper_bound,
     factorial_moment_identity,
     falling_factorial_sum,
-    poisson_tail,
     summarize,
     truncated_moment,
     y_poisson,

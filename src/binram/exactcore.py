@@ -132,21 +132,26 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _tail_row(n: int, b_lo: int, b_hi: int) -> list:
+    """Pairs (u_b, N_b), b = b_lo..b_hi, each from one kernel call: with
+    (T_b, N_b) the numerators of P(X < b) and P(X = b) over n**n,
+    u_b = n**n - 2 T_b, so z_b = u_b / (2 N_b)."""
+    scale = n**n
+    return [(scale - 2 * t, pmf)
+            for t, pmf in (tail_pmf_numerators(n, b, b, n) for b in range(b_lo, b_hi + 1))]
+
+
 def _p_signs(n: int, b_lo: int, b_hi: int) -> list:
-    """Signs for b = b_lo..b_hi from the tails b_lo..b_hi+1, each computed once."""
-    tails = [tail_pmf_numerators(n, b, b, n)[0] for b in range(b_lo, b_hi + 2)]
-    return [_sign(hi - lo) for lo, hi in zip(tails, tails[1:])]
+    """Signs for b = b_lo..b_hi from the row b_lo..b_hi+1: T_{b+1} - T_b has
+    the sign of u_b - u_{b+1}."""
+    row = _tail_row(n, b_lo, b_hi + 1)
+    return [_sign(u0 - u1) for (u0, _), (u1, _) in zip(row, row[1:])]
 
 
 def _z_signs(n: int, b_lo: int, b_hi: int) -> list:
-    """Signs for b = b_lo..b_hi from the tails b_lo..b_hi+1, each computed once.
-
-    z_b = u_b / (2 N_b) with u_b = n**n - 2 T_b and N_b > 0, so z_{b+1} - z_b
-    has the sign of u_{b+1} N_b - u_b N_{b+1}.
-    """
-    scale = n**n
-    row = [(scale - 2 * t, pmf)
-           for t, pmf in (tail_pmf_numerators(n, b, b, n) for b in range(b_lo, b_hi + 2))]
+    """Signs for b = b_lo..b_hi from the row b_lo..b_hi+1: as N_b > 0,
+    z_{b+1} - z_b has the sign of u_{b+1} N_b - u_b N_{b+1}."""
+    row = _tail_row(n, b_lo, b_hi + 1)
     return [_sign(u1 * m0 - u0 * m1) for (u0, m0), (u1, m1) in zip(row, row[1:])]
 
 
@@ -183,8 +188,10 @@ def z_diff_signs(n: int) -> list:
     return _z_signs(n, 1, n - 1)
 
 
-def z_symmetry_check(b: int, n: int) -> bool:
-    """Exact check of z(b, n) + z(n-b, n) = 1."""
-    if not (1 <= b <= n - 1):
-        raise DomainError(f"need 1 <= b <= n-1, got b={b}, n={n}")
-    return ramanujan_z(BinomialSpec(b, n)) + ramanujan_z(BinomialSpec(n - b, n)) == 1
+def z_symmetry_row(n: int) -> list:
+    """[z(b, n) + z(n-b, n) == 1 for b in 1..n-1], exactly, from one row:
+    with z_b = u_b / (2 N_b), the identity reads u_b N_{n-b} + u_{n-b} N_b
+    = 2 N_b N_{n-b}."""
+    _check_pair(1, n)
+    row = _tail_row(n, 1, n - 1)
+    return [u * m_r + u_r * m == 2 * m * m_r for (u, m), (u_r, m_r) in zip(row, reversed(row))]

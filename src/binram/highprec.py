@@ -77,20 +77,15 @@ def _enclosed_signs(n: int, b_lo: int, b_hi: int, policy: PrecisionPolicy) -> li
     return [signs.get(b, INCONCLUSIVE) for b in range(b_lo, b_hi + 1)]
 
 
-def z_diff_sign(
-    b: int,
-    n: int,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-    exact_cutoff: int = EXACT_CUTOFF,
-):
+def z_diff_sign(b: int, n: int, policy: PrecisionPolicy = DEFAULT_POLICY):
     """Sign of z(b+1, n) - z(b, n): -1, 0, +1, or "inconclusive".
 
-    Exact at n <= exact_cutoff; above it, certified from the enclosures of
+    Exact at n <= EXACT_CUTOFF; above it, certified from the enclosures of
     z(b, n) and z(b+1, n) as in the threshold scan.
     """
     if not (1 <= b < n):
         raise DomainError(f"need 1 <= b < n, got b={b}, n={n}")
-    if n <= exact_cutoff:
+    if n <= EXACT_CUTOFF:
         return z_diff_sign_exact(b, n)
     return _enclosed_signs(n, b, b, policy)[0]
 

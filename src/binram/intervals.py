@@ -8,7 +8,6 @@ operations stay rigorous.  Endpoint blow-up is controlled with
 
 Transcendental constants are produced from elementary certified brackets:
 e and 1/e from truncated exponential series with explicit remainder bounds,
-pi from a fixed 104-digit decimal bracket (standard published digits),
 square roots from integer sqrt with outward rounding.
 """
 
@@ -18,15 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .backend import Rat, as_rat
-
-# First 105 significant digits of pi; the bracket below is
-# [truncation, truncation + 1 ulp] at 104 fractional digits.
-_PI_DIGITS = (
-    "3."
-    "14159265358979323846264338327950288419716939937510"
-    "582097494459230781640628620899862803482534211706798214"
-)
-
 
 @dataclass(frozen=True)
 class IntervalValue:
@@ -85,20 +75,10 @@ class IntervalValue:
         return _coerce(other) * self.reciprocal()
 
     def __pow__(self, k: int) -> "IntervalValue":
-        if k < 0:
-            return (self ** (-k)).reciprocal()
-        if k == 0:
-            return IntervalValue.point(1)
-        if self.lo >= 0:
-            return IntervalValue(as_rat(self.lo) ** k, as_rat(self.hi) ** k)
-        if self.hi <= 0:
-            lo, hi = as_rat(self.lo) ** k, as_rat(self.hi) ** k
-            return IntervalValue(min(lo, hi), max(lo, hi))
-        # straddles zero: even powers reach down to 0
-        lo, hi = as_rat(self.lo) ** k, as_rat(self.hi) ** k
-        if k % 2 == 0:
-            return IntervalValue(Rat(0), max(lo, hi))
-        return IntervalValue(lo, hi)
+        """The k-th power, for k >= 1 and an interval with lo >= 0."""
+        if k < 1 or self.lo < 0:
+            raise ValueError("power needs k >= 1 and a nonnegative interval")
+        return IntervalValue(as_rat(self.lo) ** k, as_rat(self.hi) ** k)
 
     # -- structure ----------------------------------------------------------
 
@@ -116,16 +96,6 @@ class IntervalValue:
         """True iff every point of self is < every point of other."""
         other = _coerce(other)
         return self.hi < other.lo
-
-    def sign(self) -> int:
-        """Certain sign of the enclosed real, or raise if inconclusive."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == self.hi == 0:
-            return 0
-        raise ValueError("sign inconclusive: interval straddles zero")
 
     def round_out(self, digits: int) -> "IntervalValue":
         """Widen endpoints outward to denominator 10**digits (caps size growth)."""
@@ -147,15 +117,6 @@ def _coerce(x) -> IntervalValue:
 
 
 # -- certified constants ----------------------------------------------------
-
-
-def pi_bracket() -> IntervalValue:
-    """Fixed 104-fractional-digit bracket around pi."""
-    digits = _PI_DIGITS.replace(".", "")
-    frac_digits = len(digits) - 1
-    scale = 10**frac_digits
-    lo = Rat(int(digits), scale)
-    return IntervalValue(lo, lo + Rat(1, scale))
 
 
 def exp_neg1_enclosure(terms: int) -> IntervalValue:

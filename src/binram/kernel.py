@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .backend import Rat, as_rat
-from .exactcore import BinomialSpec, DomainError, falling, ramanujan_z, tail_p
+from .exactcore import BinomialSpec, DomainError, falling, tail_value
 
 
 class ResourceError(RuntimeError):
@@ -31,37 +31,22 @@ ORACLE_MAX_N = 60  # cost guard for full polynomial expansion
 
 @dataclass(frozen=True)
 class IntegerPolynomial:
-    """Dense polynomial sum(coeffs[k] * z**k) / scale with integer coeffs."""
+    """Dense polynomial sum(coeffs[k] * z**k) with integer coeffs."""
 
     coeffs: tuple
-    scale: int = 1
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    @property
-    def degree(self) -> int:
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[k]:
-                return k
-        return -1  # zero polynomial
 
     def __call__(self, z):
         z = as_rat(z)
         acc = Rat(0)
         for c in reversed(self.coeffs):
             acc = acc * z + c
-        return acc / self.scale
+        return acc
 
     def derivative(self) -> "IntegerPolynomial":
         if len(self.coeffs) <= 1:
-            return IntegerPolynomial((0,), self.scale)
+            return IntegerPolynomial((0,))
         d = tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-        return IntegerPolynomial(d, self.scale)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return IntegerPolynomial(d)
 
 
 @dataclass(frozen=True)
@@ -96,8 +81,13 @@ def eval_g(spec: BinomialSpec, z):
 
 
 def _closed_form_inner_coeffs(spec: BinomialSpec, order: int) -> list:
-    """Coefficients of z**(order-i), i = 0..order, in the derivative formula."""
+    """Coefficients of z**(order-i), i = 0..order, in the derivative formula,
+    for the admissible orders 1..min(b-1, n-b)."""
     b, n = spec.b, spec.n
+    if not (1 <= order <= min(b - 1, n - b)):
+        raise DomainError(
+            f"order {order} outside 1..min(b-1, n-b) = {min(b - 1, n - b)}"
+        )
     out = []
     for i in range(order + 1):
         c = (
@@ -119,15 +109,12 @@ def derivative_closed_form(spec: BinomialSpec, order: int, z):
     if order == 0:
         return eval_g(spec, z)
     b, n = spec.b, spec.n
-    if not (1 <= order <= min(b - 1, n - b)):
-        raise DomainError(
-            f"order {order} outside 1..min(b-1, n-b) = {min(b - 1, n - b)}"
-        )
+    coeffs = _closed_form_inner_coeffs(spec, order)
     z = as_rat(z)
     if not (0 <= z <= 1):
         raise DomainError("z outside [0, 1]")
     inner = Rat(0)
-    for i, c in enumerate(_closed_form_inner_coeffs(spec, order)):
+    for i, c in enumerate(coeffs):
         inner += c * z ** (order - i)
     return (1 - z) ** (b - 1 - order) * z ** (n - b - order) * inner
 
@@ -156,10 +143,6 @@ def derivative_oracle(spec: BinomialSpec, order: int) -> IntegerPolynomial:
 def derivative_closed_form_polynomial(spec: BinomialSpec, order: int) -> IntegerPolynomial:
     """The closed-form derivative expanded to coefficients, for exact comparison."""
     b, n = spec.b, spec.n
-    if not (1 <= order <= min(b - 1, n - b)):
-        raise DomainError(
-            f"order {order} outside 1..min(b-1, n-b) = {min(b - 1, n - b)}"
-        )
     inner = _closed_form_inner_coeffs(spec, order)  # coeff of z**(order-i)
     # multiply (1-z)**(b-1-order) * z**(n-b-order) * inner
     out = [0] * (n - order)
@@ -168,14 +151,6 @@ def derivative_closed_form_polynomial(spec: BinomialSpec, order: int) -> Integer
         for i, c in enumerate(inner):
             out[(n - b - order) + j + (order - i)] += binom * c
     return IntegerPolynomial(tuple(out))
-
-
-def derivative_value(spec: BinomialSpec, order: int, z):
-    """Order-th derivative at z; falls back to the oracle polynomial when the
-    closed form's order guard does not admit the requested order."""
-    if order == 0 or 1 <= order <= min(spec.b - 1, spec.n - spec.b):
-        return derivative_closed_form(spec, order, z)
-    return derivative_oracle(spec, order)(z)
 
 
 # -- exact integration ------------------------------------------------------
@@ -278,8 +253,8 @@ def taylor_sandwich(spec: BinomialSpec) -> TaylorSandwich:
         spec=spec,
         z0=z0,
         cubic_coeffs=coeffs,
-        d4_minus=derivative_value(spec, 4, z0),
-        d4_plus=derivative_value(spec, 4, cell.hi),
+        d4_minus=derivative_closed_form(spec, 4, z0),
+        d4_plus=derivative_closed_form(spec, 4, cell.hi),
     )
 
 
@@ -334,27 +309,28 @@ def verify_claim1(spec: BinomialSpec) -> bool:
     2. the consecutive tail difference via the cell integral,
     3. z as a normalized split integral,
     4. the consecutive z difference via split integrals.
+
+    The tails and z come from one tail kernel call each at b and b+1, the
+    integrals from one integral_sum each at 1-b/n and 1-(b+1)/n.
     """
     b, n = spec.b, spec.n
     if not (1 <= b < n):
         raise DomainError("identities need 1 <= b < n")
-    p_b = tail_p(spec)
-    p_b1 = tail_p(BinomialSpec(b + 1, n))
+    tv, tv1 = tail_value(spec), tail_value(BinomialSpec(b + 1, n))
     full = full_integral(spec)
     x = Rat(b + 1, n)
     y = Rat(b, n)
+    int_b, int_b1 = integral_from_zero(spec, 1 - y), integral_from_zero(spec, 1 - x)
 
-    ok_tail = p_b == integral_from_zero(spec, 1 - y) / full
+    ok_tail = tv.p == int_b / full
 
-    cell_int = integrate_g_delta(spec)
-    ok_diff = p_b1 - p_b == (x**b * (1 - x) ** (n - b) - b * cell_int) / (b * full)
+    cell_int = int_b - int_b1
+    ok_diff = tv1.p - tv.p == (x**b * (1 - x) ** (n - b) - b * cell_int) / (b * full)
 
-    split_b = signed_integral_split(spec, 1 - y)
-    ok_z = ramanujan_z(spec) == Rat(1, 2) * b * split_b / (y**b * (1 - y) ** (n - b))
+    split_b = full - 2 * int_b
+    ok_z = tv.z == Rat(1, 2) * b * split_b / (y**b * (1 - y) ** (n - b))
 
-    split_b1 = signed_integral_split(spec, 1 - x)
-    z_b = ramanujan_z(spec)
-    z_b1 = ramanujan_z(BinomialSpec(b + 1, n))
+    split_b1 = full - 2 * int_b1
     prefactor = Rat(
         n**n, 2 * (n - b) * (b + 1) ** b * (n - b - 1) ** (n - b - 1)
     )
@@ -366,6 +342,6 @@ def verify_claim1(spec: BinomialSpec) -> bool:
         * (1 - Rat(1, n - b)) ** (n - b - 1)
         * split_b
     )
-    ok_zdiff = z_b1 - z_b == prefactor * bracket
+    ok_zdiff = tv1.z - tv.z == prefactor * bracket
 
     return ok_tail and ok_diff and ok_z and ok_zdiff

@@ -55,17 +55,6 @@ def pmf_weight(b: int) -> "Rat":
     return Rat(b**b, math.factorial(b))
 
 
-def poisson_tail(b: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue:
-    """Enclosure of P(N < b) with width at most 10**-policy.digits."""
-    target = Rat(1, 10**policy.digits)
-    weight = tail_weight(b)
-    for digits in policy.escalation_digits():
-        enc = (weight * _exp_neg_interval(b, digits)).round_out(digits)
-        if enc.width() <= target:
-            return enc
-    raise PrecisionError(f"tail enclosure for b={b} did not reach width {target}")
-
-
 def y_poisson(b: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue:
     """Enclosure of y(b) = (1/2 - P(N < b)) / P(N = b)."""
     target = Rat(1, 10**policy.digits)
@@ -80,7 +69,8 @@ def y_poisson(b: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue
 
 
 def alpha_beta(b: int, policy: PrecisionPolicy = DEFAULT_POLICY):
-    """Enclosures of the expansion coefficients alpha(b), beta(b):
+    """Enclosures (y, alpha, beta) of y(b), from y_poisson, and of the
+    expansion coefficients alpha(b), beta(b) computed from that y:
 
         y = 1/3 + 4 / (135 (b + alpha)),
         y = 1/3 + 4/(135 b) - 8 / (2835 (b + beta)**2).
@@ -110,7 +100,7 @@ def alpha_beta(b: int, policy: PrecisionPolicy = DEFAULT_POLICY):
             sqrt_enclosure(squared.hi, digits).hi,
         )
         beta = root - b
-        return alpha.round_out(digits), beta.round_out(digits)
+        return y, alpha.round_out(digits), beta.round_out(digits)
     raise PrecisionError(f"alpha/beta for b={b}: denominator stayed inconclusive") from last_exc
 
 
@@ -158,8 +148,7 @@ def summarize(b: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> PoissonSummar
     e = _exp_neg_interval(b, digits)
     tail = (tail_weight(b) * e).round_out(digits)
     pmf = (pmf_weight(b) * e).round_out(digits)
-    y = y_poisson(b, policy)
-    alpha, beta = alpha_beta(b, policy)
+    y, alpha, beta = alpha_beta(b, policy)
     return PoissonSummary(b=b, tail=tail, pmf_at_b=pmf, y=y, alpha=alpha, beta=beta)
 
 

@@ -11,6 +11,7 @@ from binram.exactcore import BinomialSpec, DomainError, ramanujan_z, z_diff_sign
 from binram.highprec import (
     EXACT_CUTOFF,
     INCONCLUSIVE,
+    _enclosed_signs,
     claim5_residual,
     theorem2_threshold,
     z_diff_sign,
@@ -50,10 +51,9 @@ def test_z_diff_sign_exact_below_cutoff():
 
 
 def test_z_diff_sign_float_path_agrees_with_exact():
-    # force the enclosure path with exact_cutoff=0 and compare with the exact rows
+    # the enclosure row, which z_diff_sign uses above the cutoff, against the exact rows
     for n in [*range(2, 121), 150, 2000]:
-        got = [z_diff_sign(b, n, POLICY, exact_cutoff=0) for b in range(1, n)]
-        assert got == z_diff_signs(n), n
+        assert _enclosed_signs(n, 1, n - 1, POLICY) == z_diff_signs(n), n
 
 
 @pytest.mark.parametrize("slope", [1, -1])
@@ -65,7 +65,7 @@ def test_overlapping_enclosures_escalate_then_stay_inconclusive(monkeypatch, slo
         return IntervalValue(Rat(slope * spec.b, 100), Rat(slope * spec.b, 100) + 1)
 
     monkeypatch.setattr(highprec, "z_highprec", overlapping)
-    assert z_diff_sign(5, 100, POLICY, exact_cutoff=0) == INCONCLUSIVE
+    assert _enclosed_signs(100, 5, 5, POLICY) == [INCONCLUSIVE]
     assert digits == [30, 30, 60, 60, 120, 120, 240, 240]
 
 

@@ -17,7 +17,6 @@ from binram.kernel import (
     derivative_closed_form,
     derivative_closed_form_polynomial,
     derivative_oracle,
-    derivative_value,
     eval_g,
     eval_P,
     eval_Q,
@@ -42,14 +41,10 @@ def sympy_kernel(b, n):
 
 
 def test_integer_polynomial_basics():
-    p = IntegerPolynomial((1, -2, 3), scale=2)  # (1 - 2z + 3z^2)/2
-    assert p.degree == 2
-    assert p(Rat(1, 2)) == Rat(3, 8)
+    p = IntegerPolynomial((1, -2, 3))  # 1 - 2z + 3z^2
+    assert p(Rat(1, 2)) == Rat(3, 4)
     d = p.derivative()
-    assert d(Rat(1, 2)) == Rat(1, 2)  # (-2 + 6z)/2 at 1/2
-    assert IntegerPolynomial((0, 0)).is_zero()
-    with pytest.raises(ValueError):
-        IntegerPolynomial((1,), scale=0)
+    assert d(Rat(1, 2)) == Rat(1)  # -2 + 6z at 1/2
 
 
 @pytest.mark.parametrize("b,n", PAIRS)
@@ -84,24 +79,19 @@ def test_derivative_matches_sympy(b, n, order):
     want = sympy.diff(g, z, order)
     pt = sympy.Rational(2, 7)
     spec = BinomialSpec(b, n)
-    got = derivative_value(spec, order, Rat(2, 7))
+    got = derivative_closed_form(spec, order, Rat(2, 7))
     want_val = sympy.Rational(want.subs(z, pt))
     assert Fraction(int(got.numerator), int(got.denominator)) == Fraction(
         int(want_val.p), int(want_val.q)
     )
 
 
-def test_derivative_order_guard_and_fallback():
+def test_derivative_order_guard():
     spec = BinomialSpec(3, 8)  # closed form admits orders 1..2
     with pytest.raises(DomainError):
         derivative_closed_form(spec, 3, Rat(1, 2))
-    # derivative_value falls back to the oracle polynomial for order 3
-    z, g = sympy_kernel(3, 8)
-    want = sympy.Rational(sympy.diff(g, z, 3).subs(z, sympy.Rational(1, 2)))
-    got = derivative_value(spec, 3, Rat(1, 2))
-    assert Fraction(int(got.numerator), int(got.denominator)) == Fraction(
-        int(want.p), int(want.q)
-    )
+    with pytest.raises(DomainError):
+        derivative_closed_form_polynomial(spec, 3)
 
 
 # -- integration --------------------------------------------------------------
@@ -186,8 +176,8 @@ def test_taylor_sandwich_known_edge_at_b5():
     (it dips below its left-endpoint value), so the stated lower bound fails
     there; pinned as an exact fact, cross-checked with sympy above."""
     spec = BinomialSpec(5, 56)
-    d4_lo = derivative_value(spec, 4, DeltaCell.of(spec).lo)
-    d4_dip = derivative_value(spec, 4, Rat(143, 160))  # interior point
+    d4_lo = derivative_closed_form(spec, 4, DeltaCell.of(spec).lo)
+    d4_dip = derivative_closed_form(spec, 4, Rat(143, 160))  # interior point
     assert d4_dip < d4_lo  # non-monotone fourth derivative
     sw = taylor_sandwich(spec)
     z = Rat(201, 224)
@@ -227,7 +217,7 @@ def test_P_defining_identity(b, n):
     x = Rat(b + 1, n)
     s = Rat(0)
     for l in range(4):
-        s += derivative_value(spec, l, 1 - x) / (math.factorial(l + 1) * n ** (l + 1))
+        s += derivative_closed_form(spec, l, 1 - x) / (math.factorial(l + 1) * n ** (l + 1))
     lead = x**b * (1 - x) ** (n - b)
     rhs = 24 * n**6 * x ** (4 - b) * (1 - x) ** (b + 2 - n) * (lead - b * s)
     assert Rat(eval_P(b, n)) == rhs
@@ -237,7 +227,7 @@ def test_P_defining_identity(b, n):
 def test_Q_identity(b, n):
     spec = BinomialSpec(b, n)
     x = Rat(b + 1, n)
-    assert derivative_value(spec, 4, 1 - x) == x ** (b - 5) * (1 - x) ** (
+    assert derivative_closed_form(spec, 4, 1 - x) == x ** (b - 5) * (1 - x) ** (
         n - b - 4
     ) * eval_Q(spec)
 

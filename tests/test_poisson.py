@@ -17,7 +17,6 @@ from binram.poisson import (
     factorial_moment_row,
     falling_factorial_sum,
     pmf_weight,
-    poisson_tail,
     summarize,
     tail_weight,
     truncated_moment,
@@ -60,7 +59,7 @@ def test_poisson_tail_vs_mpmath(b):
             mpmath.exp(-b) * mpmath.mpf(b) ** i / mpmath.factorial(i)
             for i in range(b)
         )
-        assert mp_contains(poisson_tail(b, POLICY), want)
+        assert mp_contains(summarize(b, POLICY).tail, want)
 
 
 def test_y_at_1_is_e_over_2_minus_1():
@@ -135,7 +134,7 @@ def test_beta_upper_bound_value():
 
 
 def test_beta_at_1_attains_bound_numerically():
-    _, beta = alpha_beta(1, POLICY)
+    _, _, beta = alpha_beta(1, POLICY)
     ub = beta_upper_bound(40)
     # the enclosures must overlap (equality case) and agree to ~30 digits
     assert beta.lo <= ub.hi and ub.lo <= beta.hi
@@ -145,14 +144,15 @@ def test_beta_at_1_attains_bound_numerically():
 def test_beta_strictly_below_bound_for_larger_b():
     ub = beta_upper_bound(40)
     for b in (2, 3, 10):
-        _, beta = alpha_beta(b, POLICY)
+        _, _, beta = alpha_beta(b, POLICY)
         assert beta.hi < ub.lo
 
 
 def test_alpha_beta_ranges_and_monotonicity():
     prev_a = prev_b = None
     for b in range(1, 9):
-        alpha, beta = alpha_beta(b, POLICY)
+        y, alpha, beta = alpha_beta(b, POLICY)
+        assert y == y_poisson(b, POLICY)  # the y that alpha and beta were computed from
         assert Rat(2, 21) <= alpha.lo and alpha.hi <= Rat(8, 45)
         assert Rat(-1, 3) < beta.lo and beta.hi < 0
         if prev_a is not None:
