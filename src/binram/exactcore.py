@@ -67,17 +67,35 @@ def tail_pmf_head(n: int, b: int, p: int, r: int) -> tuple:
     return acc * s, t
 
 
+def _long_side(n: int, b: int, p: int, r: int) -> tuple:
+    """(T, N) of :func:`tail_pmf_numerators` as the head from
+    :func:`tail_pmf_head` times the one big power (r-p)**(n-b): b Horner steps."""
+    head, t = tail_pmf_head(n, b, p, r)
+    top = (r - p) ** (n - b)
+    return head * top, t * top
+
+
 def tail_pmf_numerators(n: int, b: int, p: int, r: int) -> tuple:
     """Integers (T, N) for X ~ Bin(n, p/r), with 0 <= p <= r and 0 <= b <= n:
 
         T = sum_{i<b} C(n, i) p**i (r-p)**(n-i),    N = C(n, b) p**b (r-p)**(n-b),
 
-    so P(X < b) = T / r**n and P(X = b) = N / r**n.  The head from
-    :func:`tail_pmf_head` times the one big power (r-p)**(n-b).
+    so P(X < b) = T / r**n and P(X = b) = N / r**n, in min(b, n-b) Horner steps.
+
+    For 2b <= n this is the long side, b steps.  For 2b > n it is the short
+    side: Y = n - X ~ Bin(n, (r-p)/r), and the long side at (n, n-b, r-p, r)
+    gives, with j = n - i,
+
+        T_Y = sum_{j<n-b} C(n, j) (r-p)**j p**(n-j) = sum_{i>b} C(n, i) p**i (r-p)**(n-i),
+        N_Y = C(n, n-b) (r-p)**(n-b) p**b = N,
+
+    in n-b < b steps.  The binomial theorem sums all n+1 terms to r**n, so
+    T = r**n - T_Y - N_Y: the same integers, for every 0 <= p <= r.
     """
-    head, t = tail_pmf_head(n, b, p, r)
-    top = (r - p) ** (n - b)
-    return head * top, t * top
+    if 2 * b <= n:
+        return _long_side(n, b, p, r)
+    t_y, n_y = _long_side(n, n - b, r - p, r)
+    return r**n - t_y - n_y, n_y
 
 
 def exact_pmf(spec: BinomialSpec, i: int):
@@ -132,13 +150,13 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _tail_row(n: int, b_lo: int, b_hi: int) -> list:
+def _tail_row(n: int, b_lo: int, b_hi: int, numerators=tail_pmf_numerators) -> list:
     """Pairs (u_b, N_b), b = b_lo..b_hi, each from one kernel call: with
     (T_b, N_b) the numerators of P(X < b) and P(X = b) over n**n,
     u_b = n**n - 2 T_b, so z_b = u_b / (2 N_b)."""
     scale = n**n
     return [(scale - 2 * t, pmf)
-            for t, pmf in (tail_pmf_numerators(n, b, b, n) for b in range(b_lo, b_hi + 1))]
+            for t, pmf in (numerators(n, b, b, n) for b in range(b_lo, b_hi + 1))]
 
 
 def _p_signs(n: int, b_lo: int, b_hi: int) -> list:
@@ -183,15 +201,35 @@ def z_diff_sign_exact(b: int, n: int) -> int:
 
 
 def z_diff_signs(n: int) -> list:
-    """[z_diff_sign_exact(b, n) for b in 1..n-1], computing each tail once."""
+    """[z_diff_sign_exact(b, n) for b in 1..n-1], computed directly only for
+    b <= h = ceil(n/2) and for b = n-1.
+
+    The rest mirror: sign(b) = sign(n-1-b) for h < b < n-1.  Proof: with
+    Y = n - X ~ Bin(n, (n-b)/n), P(X < b) = 1 - P(Y < n-b) - P(Y = n-b) and
+    P(X = b) = P(Y = n-b), so z(b) + z(n-b) = 1 for 1 <= b <= n-1.  For
+    1 <= b <= n-2 both b and b+1 lie in that range, so
+
+        z(b+1) - z(b) = (1 - z(n-1-b)) - (1 - z(n-b)) = z(n-b) - z(n-1-b),
+
+    the difference at b' = n-1-b, and h < b < n-1 puts 1 <= b' < n/2 - 1 < h.
+    The rule does not reach b = n-1: z(n, n) lies outside the identity.
+    """
     _check_pair(1, n)
-    return _z_signs(n, 1, n - 1)
+    h = (n + 1) // 2
+    if h >= n - 1:
+        return _z_signs(n, 1, n - 1)
+    head = _z_signs(n, 1, h)
+    return head + [head[n - 2 - b] for b in range(h + 1, n - 1)] + _z_signs(n, n - 1, n - 1)
 
 
 def z_symmetry_row(n: int) -> list:
     """[z(b, n) + z(n-b, n) == 1 for b in 1..n-1], exactly, from one row:
     with z_b = u_b / (2 N_b), the identity reads u_b N_{n-b} + u_{n-b} N_b
-    = 2 N_b N_{n-b}."""
+    = 2 N_b N_{n-b}.
+
+    Every (u_b, N_b) comes from the long side, b Horner steps.  The short
+    side is the complement identity itself, so reading it for b > n/2 would
+    make the check hold by construction."""
     _check_pair(1, n)
-    row = _tail_row(n, 1, n - 1)
+    row = _tail_row(n, 1, n - 1, _long_side)
     return [u * m_r + u_r * m == 2 * m * m_r for (u, m), (u_r, m_r) in zip(row, reversed(row))]

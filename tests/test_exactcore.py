@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from binram import exactcore
 from binram.backend import Rat
 from binram.exactcore import (
     BinomialSpec,
@@ -16,6 +17,8 @@ from binram.exactcore import (
     p_diff_signs,
     ramanujan_z,
     tail_p,
+    tail_pmf_head,
+    tail_pmf_numerators,
     tail_value,
     z_diff_sign_exact,
     z_diff_signs,
@@ -108,7 +111,7 @@ def test_per_n_rows_match_oracle_signs():
 
 
 def test_per_pair_wrappers_match_rows():
-    for n in (2, 9, 17):
+    for n in (2, 3, 4, 9, 17, 18):
         assert [p_diff_sign(b, n) for b in range(1, n)] == p_diff_signs(n)
         assert [z_diff_sign_exact(b, n) for b in range(1, n)] == z_diff_signs(n)
     for fn in (p_diff_signs, z_diff_signs):
@@ -116,6 +119,71 @@ def test_per_pair_wrappers_match_rows():
             fn(1)
     with pytest.raises(DomainError):
         z_diff_sign_exact(3, 3)
+
+
+def _comb_numerators(n, b, p, r):
+    return (sum(math.comb(n, i) * p**i * (r - p) ** (n - i) for i in range(b)),
+            math.comb(n, b) * p**b * (r - p) ** (n - b))
+
+
+def test_tail_pmf_numerators_match_comb_oracle():
+    # 2b > n takes the short side; p = 0, p = r, b = 0 and b = n are all here
+    for n in range(41):
+        for b in range(n + 1):
+            ratios = [(0, 1), (1, 1), (1, 3), (7, 10)] + ([(b, n)] if n else [])
+            for p, r in ratios:
+                assert tail_pmf_numerators(n, b, p, r) == _comb_numerators(n, b, p, r), (n, b, p, r)
+
+
+def _long_side_row(n, b_lo, b_hi):
+    """(T_b, N_b) for b = b_lo..b_hi, each the long-side head times (n-b)**(n-b)."""
+    row = []
+    for b in range(b_lo, b_hi + 1):
+        head, t = tail_pmf_head(n, b, b, n)
+        top = (n - b) ** (n - b)
+        row.append((head * top, t * top))
+    return row
+
+
+def _long_side_signs(n, b_lo, b_hi):
+    """p and z signs for b = b_lo..b_hi from the long side: P(X < b) = T_b / n**n
+    and z_b = (n**n - 2 T_b) / (2 N_b)."""
+    scale, row = n**n, _long_side_row(n, b_lo, b_hi + 1)
+    p = [_sign(t1 - t0) for (t0, _), (t1, _) in zip(row, row[1:])]
+    z = [_sign((scale - 2 * t1) * m0 - (scale - 2 * t0) * m1)
+         for (t0, m0), (t1, m1) in zip(row, row[1:])]
+    return p, z
+
+
+def test_rows_match_long_side_rows():
+    for n in range(2, 121):
+        p, z = _long_side_signs(n, 1, n - 1)
+        assert p_diff_signs(n) == p, n
+        assert z_diff_signs(n) == z, n
+
+
+def test_per_pair_signs_at_n_2000_match_long_side():
+    n = 2000
+    for b in (1, 999, 1000, 1001, 1500, 1998, 1999):
+        (p,), (z,) = _long_side_signs(n, b, b)
+        assert (p_diff_sign(b, n), z_diff_sign_exact(b, n)) == (p, z), b
+
+
+def test_symmetry_row_fails_on_a_faulty_long_side(monkeypatch):
+    # the short side is the complement identity, so a row read from it would
+    # hold by construction; a fault in the long side at any b must show
+    real = exactcore.tail_pmf_head
+    for n in (9, 10):
+        for bad in range(1, n):
+            def faulty(m, b, p, r, bad=bad):
+                head, t = real(m, b, p, r)
+                return (head + 1 if b == bad else head), t
+
+            monkeypatch.setattr(exactcore, "tail_pmf_head", faulty)
+            row = z_symmetry_row(n)
+            assert [b for b, ok in enumerate(row, 1) if not ok] == sorted({bad, n - bad}), (n, bad)
+    monkeypatch.undo()
+    assert z_symmetry_row(10) == [True] * 9
 
 
 def test_p_diff_boundary_examples():
