@@ -4,8 +4,10 @@ All exact arithmetic in this package runs on arbitrary-precision rationals.
 When gmpy2 is available its C-backed ``mpq``/``mpz`` types are used; otherwise
 we fall back to the pure-Python ``fractions.Fraction``/``int`` pair.  The two
 backends are interchangeable (same operator surface, exact semantics); only
-speed differs.  Set ``BINRAM_BACKEND=fractions`` to force the fallback, e.g.
-for the backend benchmark.
+speed differs.  ``BINRAM_BACKEND`` selects: ``auto`` (the default: gmpy2 if
+it is installed, else fractions), ``gmpy2`` or ``fractions``.  Any other
+value, or ``gmpy2`` without gmpy2 installed, makes this import raise
+:class:`BackendError`.
 
 Results never depend on the backend: every value is an exact rational.
 """
@@ -14,17 +16,23 @@ from __future__ import annotations
 
 import os
 
+
+class BackendError(ImportError):
+    """BINRAM_BACKEND names no usable backend."""
+
+
 _requested = os.environ.get("BINRAM_BACKEND", "auto")
 
 if _requested not in ("auto", "gmpy2", "fractions"):
-    raise RuntimeError(f"unknown BINRAM_BACKEND={_requested!r}")
+    raise BackendError(f"unknown BINRAM_BACKEND={_requested!r}; "
+                       "expected auto, gmpy2 or fractions")
 
 if _requested in ("auto", "gmpy2"):
     try:
         from gmpy2 import mpq as Rat  # type: ignore
     except ImportError:
         if _requested == "gmpy2":
-            raise
+            raise BackendError("BINRAM_BACKEND='gmpy2' but gmpy2 is not installed") from None
         _requested = "fractions"
 if _requested == "fractions":
     from fractions import Fraction as Rat  # type: ignore

@@ -5,6 +5,10 @@ tests, at the CLI's ranges and emit deterministic CSV or JSON reports (fixed
 row ordering, no timestamps in the data section); a range with no point to
 check is a usage error.  Exit codes: 0 clean, 1 violations found, 2
 inconclusive results only, 64 usage error, 70 resource guard exceeded.
+
+A process loads only what its subcommand runs: mpmath (through
+binram.highprec) for ``threshold`` alone, and the process pool for
+``--workers`` above 1 alone.
 """
 
 from __future__ import annotations
@@ -12,9 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from .backend import BACKEND, Rat, as_rat
+EXIT_USAGE = 64  # 0, 1 and 2 come from Report.exit_code
+EXIT_RESOURCE = 70
+
+try:
+    from .backend import BACKEND, Rat, as_rat
+except ImportError as exc:  # BackendError: BINRAM_BACKEND names no usable backend
+    print(f"binram: {exc}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE) from None
+
 from .certificates import (
     check_above_half,
     check_boundary_cases,
@@ -33,14 +44,21 @@ from .certificates import (
     thm3_sign_suite,
 )
 from .exactcore import DomainError, p_diff_signs, z_diff_signs
-from .highprec import theorem2_threshold
 from .kernel import ORACLE_MAX_N, ResourceError
 from .precision import PrecisionPolicy
 from .report import CSV_HEADER, SCAN_P_HEADER, Report, ViolationReport, merge_reports
 from .smalldev import conjecture_scan, tilde_p_monotonicity_scan, verify_samuels
 
-EXIT_USAGE = 64  # 0, 1 and 2 come from Report.exit_code
-EXIT_RESOURCE = 70
+
+def __getattr__(name):
+    """The module attribute ``ProcessPoolExecutor``, imported on first use,
+    so that only ``--workers`` above 1 loads multiprocessing.  ``_signs_by_n``
+    builds its pool from this attribute, so rebinding it (to a subclass that
+    times the pool, say) reaches every pool the CLI makes."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,7 +190,7 @@ def _signs_by_n(row, n_max: int, workers: int) -> list:
         raise DomainError(f"--workers must be >= 1, got {workers}")
     ns = range(n_max, 1, -1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(row, ns))
     else:
         rows = [row(n) for n in ns]
@@ -196,6 +214,8 @@ def cmd_scan_z(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    from .highprec import theorem2_threshold  # the only command that needs mpmath
+
     policy = PrecisionPolicy(digits=args.digits, max_escalations=4)
     tr = theorem2_threshold(args.n, policy)
     report = Report(

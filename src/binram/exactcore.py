@@ -11,7 +11,6 @@ whose monotonicity in b and n is what the certificate suites verify.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .backend import Rat
@@ -98,22 +97,9 @@ def tail_pmf_numerators(n: int, b: int, p: int, r: int) -> tuple:
     return r**n - t_y - n_y, n_y
 
 
-def exact_pmf(spec: BinomialSpec, i: int):
-    """Exact P(X = i) as a rational."""
-    if not (0 <= i <= spec.n):
-        raise DomainError(f"pmf index {i} outside 0..{spec.n}")
-    b, n = spec.b, spec.n
-    return Rat(math.comb(n, i) * b**i * (n - b) ** (n - i), n**n)
-
-
 def tail_numerator(spec: BinomialSpec) -> int:
     """Integer T with P(X < b) = T / n**n."""
     return tail_pmf_numerators(spec.n, spec.b, spec.b, spec.n)[0]
-
-
-def tail_p(spec: BinomialSpec):
-    """Exact P(X < b)."""
-    return Rat(tail_numerator(spec), spec.n**spec.n)
 
 
 def tail_value(spec: BinomialSpec) -> TailValue:
@@ -128,22 +114,6 @@ def tail_value(spec: BinomialSpec) -> TailValue:
 def ramanujan_z(spec: BinomialSpec):
     """Exact z(b, n) = (1/2 - P(X < b)) / P(X = b)."""
     return tail_value(spec).z
-
-
-def median_binomial(spec: BinomialSpec) -> int:
-    """Smallest m with P(X <= m) >= 1/2 (always equals b for Bin(n, b/n))."""
-    b, n = spec.b, spec.n
-    s = n - b
-    if s == 0:
-        return n  # X = n surely
-    scale = n**n
-    acc, term = 0, s**n  # term = C(n, i) b**i s**(n-i), advanced exactly
-    for i in range(n + 1):
-        acc += term
-        if 2 * acc >= scale:
-            return i
-        term = term * (n - i) * b // ((i + 1) * s)
-    raise AssertionError("cdf never reached 1/2")  # pragma: no cover
 
 
 def _sign(x) -> int:

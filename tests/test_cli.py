@@ -2,6 +2,7 @@
 config-file precedence, atomic --out writes, and backend equivalence."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from binram import cli
 from binram.cli import main
 
 
@@ -156,6 +158,23 @@ def test_workers_do_not_change_output(capsys):
     assert serial == parallel
 
 
+def test_pool_is_built_through_the_module_attribute(monkeypatch, capsys):
+    # perfbench's tracer rebinds cli.ProcessPoolExecutor to time the pool
+    built = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    _, serial = run_cli(["scan-p", "--n-max", "40"], capsys)
+    assert built == []
+    _, parallel = run_cli(["scan-p", "--n-max", "40", "--workers", "2"], capsys)
+    assert built == [{"max_workers": 2}]
+    assert parallel == serial
+
+
 def test_json_schema(capsys):
     code, out = run_cli(["smalldev", "samuels", "--n-max", "30",
                          "--format", "json"], capsys)
@@ -248,7 +267,31 @@ def test_report_merge_round_trip(tmp_path, capsys):
     assert keys == sorted(keys)
 
 
-# -- backend equivalence ------------------------------------------------------
+# -- backend selection and equivalence ----------------------------------------
+
+
+def run_with_backend(backend):
+    return subprocess.run(
+        [sys.executable, "-m", "binram.cli", "scan-p", "--n-max", "5"],
+        capture_output=True, text=True, env=dict(os.environ, BINRAM_BACKEND=backend),
+    )
+
+
+def assert_usage_error(proc, message):
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"binram: {message}"]
+
+
+def test_unknown_backend_is_a_usage_error():
+    assert_usage_error(run_with_backend("bogus"),
+                       "unknown BINRAM_BACKEND='bogus'; expected auto, gmpy2 or fractions")
+
+
+@pytest.mark.skipif(importlib.util.find_spec("gmpy2") is not None, reason="gmpy2 is installed")
+def test_missing_gmpy2_is_a_usage_error():
+    assert_usage_error(run_with_backend("gmpy2"),
+                       "BINRAM_BACKEND='gmpy2' but gmpy2 is not installed")
 
 
 @pytest.mark.slow

@@ -11,12 +11,10 @@ from binram.backend import Rat
 from binram.exactcore import (
     BinomialSpec,
     DomainError,
-    exact_pmf,
-    median_binomial,
     p_diff_sign,
     p_diff_signs,
     ramanujan_z,
-    tail_p,
+    tail_numerator,
     tail_pmf_head,
     tail_pmf_numerators,
     tail_value,
@@ -37,6 +35,33 @@ def oracle_tail(b: int, n: int) -> Fraction:
 def oracle_pmf(b: int, n: int, i: int) -> Fraction:
     p = Fraction(b, n)
     return Fraction(math.comb(n, i)) * p**i * (1 - p) ** (n - i)
+
+
+def tail_p(spec: BinomialSpec):
+    """Exact P(X < b) from the package's integer kernel."""
+    return Rat(tail_numerator(spec), spec.n**spec.n)
+
+
+def exact_pmf(spec: BinomialSpec, i: int):
+    """Exact P(X = i) as one rational over n**n."""
+    b, n = spec.b, spec.n
+    return Rat(math.comb(n, i) * b**i * (n - b) ** (n - i), n**n)
+
+
+def median_binomial(spec: BinomialSpec) -> int:
+    """Smallest m with P(X <= m) >= 1/2, by an exact cdf walk over n**n."""
+    b, n = spec.b, spec.n
+    s = n - b
+    if s == 0:
+        return n  # X = n surely
+    scale = n**n
+    acc, term = 0, s**n  # term = C(n, i) b**i s**(n-i), advanced exactly
+    for i in range(n + 1):
+        acc += term
+        if 2 * acc >= scale:
+            return i
+        term = term * (n - i) * b // ((i + 1) * s)
+    raise AssertionError("cdf never reached 1/2")
 
 
 @pytest.mark.parametrize("b,n", [(1, 2), (1, 5), (3, 7), (5, 12), (7, 15), (10, 31)])
