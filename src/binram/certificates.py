@@ -6,8 +6,8 @@ CLI and the acceptance criteria call the same suites at their own ranges.
 
 Each certificate checker verifies one labeled inequality family over an
 explicit range in exact integer/rational arithmetic and returns an
-:class:`InequalityCertificate`: verified (no witnesses), violated (witnesses
-listed with both sides exact), or inconclusive.  Their only non-rational
+:class:`InequalityCertificate`: verified (no witnesses) or violated
+(witnesses listed with both sides exact).  Their only non-rational
 ingredient is the certified bracket around e, which enters two
 boundary-case bounds through interval arithmetic.
 
@@ -29,7 +29,6 @@ from .report import Report, ViolationReport
 
 VERIFIED = "verified"
 VIOLATED = "violated"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class InequalityCertificate:
     range: RangeSpec
     status: str = VERIFIED
     witnesses: list = field(default_factory=list)
-    inconclusive_points: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
     def record_violation(self, b: int, n: int, lhs, rhs, note: str = "") -> None:
@@ -63,8 +61,6 @@ class InequalityCertificate:
     def finish(self) -> "InequalityCertificate":
         if self.witnesses:
             self.status = VIOLATED
-        elif self.inconclusive_points:
-            self.status = INCONCLUSIVE
         return self
 
 

@@ -6,9 +6,7 @@ row ordering, no timestamps in the data section); a range with no point to
 check is a usage error.  Exit codes: 0 clean, 1 violations found, 2
 inconclusive results only, 64 usage error, 70 resource guard exceeded.
 
-A process loads only what its subcommand runs: mpmath (through
-binram.highprec) for ``threshold`` alone, and the process pool for
-``--workers`` above 1 alone.
+A process loads the process pool only for ``--workers`` above 1.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from .certificates import (
     thm3_sign_suite,
 )
 from .exactcore import DomainError, p_diff_signs, z_diff_signs
+from .highprec import theorem2_threshold
 from .kernel import ORACLE_MAX_N, ResourceError
 from .precision import PrecisionPolicy
 from .report import CSV_HEADER, SCAN_P_HEADER, Report, ViolationReport, merge_reports
@@ -214,10 +213,7 @@ def cmd_scan_z(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    from .highprec import theorem2_threshold  # the only command that needs mpmath
-
-    policy = PrecisionPolicy(digits=args.digits, max_escalations=4)
-    tr = theorem2_threshold(args.n, policy)
+    tr = theorem2_threshold(args.n, PrecisionPolicy(digits=args.digits))
     report = Report(
         meta=_meta(args, n=args.n, digits=args.digits, predicted=tr.predicted,
                    window=list(tr.window)),
@@ -260,7 +256,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_poisson(args) -> int:
-    policy = PrecisionPolicy(digits=args.digits, max_escalations=4)
+    policy = PrecisionPolicy(digits=args.digits)
     report = Report(
         meta=_meta(args, b_max=args.b_max, digits=args.digits),
         header=["claim_id", "b", "y_lo", "y_hi", "alpha_lo", "alpha_hi",
@@ -279,7 +275,6 @@ def _certificate_report(args, certs) -> Report:
         report.results.append([cert.claim_id, cert.range.b_lo, cert.range.n_hi,
                                cert.status, cert.range.describe(), "", "", ""])
         report.violations.extend(cert.witnesses)
-        report.inconclusive += len(cert.inconclusive_points)
     return report
 
 

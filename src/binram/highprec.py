@@ -4,49 +4,48 @@ Exact rational arithmetic becomes too expensive for n in the hundreds of
 thousands, because P(X < b) and P(X = b) carry the common factor
 (n-b)**(n-b) / n**n.  Cancelling it leaves
 
-    z(b, n) = (W - 2 A) / (2 t),    W = n**n / (n-b)**(n-b),
+    z(b, n) = (W - 2 A) / (2 t),    W = n**n / (n-b)**(n-b) = n**b (n / (n-b))**(n-b),
 
 with the integers A and t from the exact kernel head
-(:func:`exactcore.tail_pmf_head`).  Only W is not exact: it is enclosed by
-``mpmath.iv``, whose power and division round outward, and its endpoints are
-converted to exact rationals.  So every z is an interval that contains the
-true value, and a sign is accepted only when an enclosed difference excludes
-0; more digits only narrow the enclosures.  Below the exact cutoff the sign
-is delegated to the exact path.
+(:func:`exactcore.tail_pmf_head`).  Only the power (n / (n-b))**(n-b) is not
+exact: :func:`intervals.power_enclosure` encloses it with outward-rounded
+integer arithmetic.  So every z is an interval that contains the true value,
+and a sign is accepted only when an enclosed difference excludes 0; more
+digits only narrow the enclosures.  Below the exact cutoff the sign is
+delegated to the exact path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import mpmath
-from mpmath import iv, libmp
 
 from .backend import Rat
 from .exactcore import BinomialSpec, DomainError, tail_pmf_head, z_diff_sign_exact
-from .intervals import IntervalValue
+from .intervals import IntervalValue, power_enclosure
 from .precision import DEFAULT_POLICY, PrecisionError, PrecisionPolicy
 
 EXACT_CUTOFF = 2000  # big-rational evaluation stays sub-second below this n
+GUARD_BITS = 4
 
 INCONCLUSIVE = "inconclusive"
 
 
 def z_highprec(spec: BinomialSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue:
-    """Rational enclosure of z(b, n), with W enclosed at policy.digits digits.
+    """Rational enclosure of z(b, n) at policy.digits digits.
 
-    Its width is about 10**-policy.digits / P(X = b).
+    With k = n - b, the power is enclosed at bits = ceil(digits log2 10)
+    + 2 bit_length(k) + GUARD_BITS, so W's relative width is at most
+    4 k 2**-bits < 10**-digits / (4 (k + 1)), as k < k + 1 <= 2**bit_length(k)
+    and GUARD_BITS = 4.  Since P(X = b) = t / W, the width of z is below
+    10**-digits / (8 (k + 1) P(X = b)).
     """
     b, n = spec.b, spec.n
     head, t = tail_pmf_head(n, b, b, n)
-    saved = iv.prec
-    iv.dps = policy.digits
-    try:
-        w = iv.mpf(n) ** n / iv.mpf(n - b) ** (n - b)
-    finally:
-        iv.prec = saved
-    lo, hi = (Rat(*libmp.to_rational(end)) for end in w._mpi_)
-    return IntervalValue((lo - 2 * head) / (2 * t), (hi - 2 * head) / (2 * t))
+    bits = (10**policy.digits).bit_length() + 2 * (n - b).bit_length() + GUARD_BITS
+    w = power_enclosure(n, n - b, n - b, bits)
+    lo, hi = ((n**b * end - 2 * head) / (2 * t) for end in (w.lo, w.hi))
+    return IntervalValue(lo, hi)
 
 
 def _enclosed_signs(n: int, b_lo: int, b_hi: int, policy: PrecisionPolicy) -> list:
@@ -90,15 +89,13 @@ def z_diff_sign(b: int, n: int, policy: PrecisionPolicy = DEFAULT_POLICY):
     return _enclosed_signs(n, b, b, policy)[0]
 
 
-def claim5_residual(
-    b: int, n: int, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> "mpmath.mpf":
+def claim5_residual(b: int, n: int, policy: PrecisionPolicy = DEFAULT_POLICY):
     """z(b, n) minus its three-term expansion 1/3 + 4/(135 b) + b/(3 n).
 
     Requires n > 10 b**2 so the expansion's regime applies.  The expansion is
     exact, so the residual is enclosed as tightly as z; digits double until
     the enclosure is at most a tenth of the residual wide, and its midpoint
-    is returned.
+    is returned as an exact rational.
     """
     if n < 10 * b * b:
         raise DomainError("expansion regime requires n >= 10 b**2")
@@ -107,8 +104,7 @@ def claim5_residual(
         residual = z_highprec(BinomialSpec(b, n), PrecisionPolicy(digits=digits)) - expansion
         mid = residual.midpoint()
         if 10 * residual.width() < abs(mid):
-            with mpmath.workdps(digits):
-                return mpmath.mpf(mid.numerator) / mid.denominator
+            return mid
     raise PrecisionError(f"residual at (b={b}, n={n}) stayed below the enclosure width")
 
 
@@ -139,7 +135,7 @@ def theorem2_threshold(
     """
     if n < 10**4:
         raise DomainError("threshold scan intended for n >= 10**4")
-    predicted = float(mpmath.sqrt(mpmath.mpf(77) * n / 360))
+    predicted = math.sqrt(77 * n / 360)
     lo = max(1, int(predicted / 2))
     hi = min(n - 1, int(2 * predicted) + 1)
 

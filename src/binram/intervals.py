@@ -8,7 +8,8 @@ operations stay rigorous.  Endpoint blow-up is controlled with
 
 Transcendental constants are produced from elementary certified brackets:
 e and 1/e from truncated exponential series with explicit remainder bounds,
-square roots from integer sqrt with outward rounding.
+square roots from integer sqrt with outward rounding, and large rational
+powers by fixed-point binary powering with outward rounding.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class IntervalValue:
 
     def midpoint(self):
         return (as_rat(self.lo) + self.hi) / 2
-
-    def contains(self, x) -> bool:
-        x = as_rat(x)
-        return self.lo <= x <= self.hi
 
     def strictly_below(self, other) -> bool:
         """True iff every point of self is < every point of other."""
@@ -172,6 +169,39 @@ def sqrt_enclosure(x, digits: int) -> IntervalValue:
     scaled = (x.numerator * scale * scale) // x.denominator
     root = math.isqrt(scaled)
     return IntervalValue(Rat(root, scale), Rat(root + 1, scale))
+
+
+def power_enclosure(p: int, q: int, k: int, bits: int) -> IntervalValue:
+    """Enclosure of (p/q)**k for integers p >= q >= 1 and k >= 0, endpoints on
+    the grid 2**-bits; k = 0 gives the point 1, for any q.
+
+    Binary powering on fixed-point integers: the lower endpoint rounds p/q and
+    every product down (``//``), the upper one up, so lo <= (p/q)**k <= hi.
+
+    Width, with e = 2**-bits: every value on either track is >= 1 (p/q >= 1,
+    and rounding down keeps a grid value >= 1), so each rounding changes it by
+    a factor within [1-e, 1+e].  A rounding enters (p/q)**k as a w-th power:
+    p/q with w = k, the square (p/q)**(2**j) with w = floor(k / 2**j), and each
+    product after the first (exact) one with w = 1.  The weights sum to
+    m = k + (k - popcount(k)) + (popcount(k) - 1) = 2k - 1, so
+    (1-e)**m <= lo / (p/q)**k and hi / (p/q)**k <= (1+e)**m.  When
+    2 k**2 <= 2**bits, m e < 1 and the width is at most
+    (2 m e + (m e)**2) (p/q)**k <= 4 k e (p/q)**k.
+    """
+    if k == 0:
+        return IntervalValue.point(1)
+    if not 1 <= q <= p:
+        raise ValueError(f"power_enclosure needs p >= q >= 1, got p={p}, q={q}")
+    one = 1 << bits
+    lo, hi = (p << bits) // q, -(-(p << bits) // q)
+    acc_lo = acc_hi = one
+    while True:
+        if k & 1:
+            acc_lo, acc_hi = acc_lo * lo >> bits, -(-acc_hi * hi >> bits)
+        k >>= 1
+        if not k:
+            return IntervalValue(Rat(acc_lo, one), Rat(acc_hi, one))
+        lo, hi = lo * lo >> bits, -(-hi * hi >> bits)
 
 
 def terms_for_digits(digits: int) -> int:

@@ -8,7 +8,7 @@ kernel over the cell [1-(b+1)/n, 1-b/n].  This module provides:
   independent oracle (coefficient-wise differentiation of the expanded
   integer polynomial) used to cross-check it,
 * third-order Taylor bounds with fourth-derivative remainder brackets,
-* the certificate polynomials P, Q, R whose signs drive the finite-range
+* the certificate polynomials P and R whose signs drive the finite-range
   inequality certificates,
 * exact verification of the four tail/integral identities.
 """
@@ -196,11 +196,6 @@ def integrate_g_delta(spec: BinomialSpec):
     return integral_from_zero(spec, cell.hi) - integral_from_zero(spec, cell.lo)
 
 
-def signed_integral_split(spec: BinomialSpec, u):
-    """Exact value of [int_u^1 - int_0^u] kernel dz = full - 2 * int_0^u."""
-    return full_integral(spec) - 2 * integral_from_zero(spec, u)
-
-
 # -- Taylor bounds ----------------------------------------------------------
 
 
@@ -279,24 +274,6 @@ def eval_P(b: int, n: int) -> int:
         - 112 * b**2 * n
     )
     return lead + eval_R(b, n)
-
-
-def eval_Q(spec: BinomialSpec):
-    """The normalized fourth derivative at the cell's left endpoint:
-
-        d4 g(1 - (b+1)/n) = x**(b-5) * (1-x)**(n-b-4) * Q,   x = (b+1)/n.
-    """
-    b, n = spec.b, spec.n
-    if b > n - 2:
-        raise DomainError("Q requires b <= n - 2")
-    x = Rat(b + 1, n)
-    w = 1 - x
-    return (
-        3 * (n - b - 1) ** 2 * x**2
-        - 2 * (n - b - 1) * x * (23 * w**2 + 7 * w - 1)
-        + 96 * w**3
-        + 24 * w**4
-    )
 
 
 # -- integral identity suite -------------------------------------------------

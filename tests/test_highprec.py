@@ -1,13 +1,15 @@
-"""Certified enclosure path: every z enclosure contains the exact z, its signs
-equal the exact signs, and the guard contracts of the expansion residual and
-threshold scan hold."""
+"""Certified enclosure path: every z enclosure contains the exact z within its
+documented width, its signs equal the exact signs, and the guard contracts of
+the expansion residual and threshold scan hold."""
+
+import math
 
 import mpmath
 import pytest
 
 from binram import highprec
 from binram.backend import Rat
-from binram.exactcore import BinomialSpec, DomainError, ramanujan_z, z_diff_signs
+from binram.exactcore import BinomialSpec, DomainError, ramanujan_z, tail_value, z_diff_signs
 from binram.highprec import (
     EXACT_CUTOFF,
     INCONCLUSIVE,
@@ -25,8 +27,11 @@ POLICY = PrecisionPolicy(digits=30, max_escalations=3)
 
 def assert_encloses_exact(b, n):
     enclosure = z_highprec(BinomialSpec(b, n), POLICY)
-    assert enclosure.contains(ramanujan_z(BinomialSpec(b, n)))
+    exact = tail_value(BinomialSpec(b, n))
+    assert enclosure.lo <= exact.z <= enclosure.hi
     assert enclosure.width() < Rat(1, 10**20)
+    # the width z_highprec documents: below 10**-digits / (8 (n-b+1) P(X = b))
+    assert enclosure.width() < 1 / (8 * (n - b + 1) * exact.pmf_at_b * 10**POLICY.digits)
 
 
 @pytest.mark.parametrize("b,n", [(1, 3), (5, 17), (20, 100), (40, 120), (13, 13)])
@@ -38,6 +43,11 @@ def test_z_highprec_within_error_of_exact(b, n):
 def test_z_highprec_encloses_exact_at_larger_n(n):
     for b in sorted({1, 2, n // 7, n // 3, n // 2, n - 200, n - 1, n}):
         assert_encloses_exact(b, n)
+
+
+@pytest.mark.parametrize("b", [1, 37, 73, 146, 292])
+def test_z_highprec_encloses_exact_above_the_cutoff(b):
+    assert_encloses_exact(b, 10**4)
 
 
 def test_z_diff_sign_exact_below_cutoff():
@@ -88,6 +98,13 @@ def test_claim5_residual_magnitude():
     assert mpmath.mpf("0.0005") < scaled < mpmath.mpf("0.0012")
 
 
+@pytest.mark.parametrize("n", [10**4, 12345, 20001, 4 * 10**4, 77777, 10**5,
+                               25 * 10**4, 999_983, 10**6, 3_141_592, 10**7])
+def test_predicted_is_the_correctly_rounded_sqrt(n):
+    # 77 n is exact in a float below 2**53, and both sides round / and sqrt correctly
+    assert math.sqrt(77 * n / 360) == float(mpmath.sqrt(mpmath.mpf(77) * n / 360))
+
+
 def test_threshold_scan_size_guard():
     with pytest.raises(DomainError):
         theorem2_threshold(9999)
@@ -96,6 +113,7 @@ def test_threshold_scan_size_guard():
 @pytest.mark.slow
 def test_threshold_scan_structure():
     rep = theorem2_threshold(10**4, POLICY)
+    assert rep.predicted == float(mpmath.sqrt(mpmath.mpf(77) * 10**4 / 360))
     assert rep.inconclusive_points == []
     assert rep.b_star_low > 0
     # single -/+ flip in the scanned window

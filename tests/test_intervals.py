@@ -1,5 +1,8 @@
 """Interval arithmetic: outward rounding, enclosure correctness for e,
-exp(-b) and square roots, checked against mpmath at higher precision."""
+exp(-b) and square roots, checked against mpmath at higher precision, and
+rational powers checked against exact Fraction powers."""
+
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,6 +15,7 @@ from binram.intervals import (
     e_enclosure,
     exp_neg1_enclosure,
     exp_neg_enclosure,
+    power_enclosure,
     sqrt_enclosure,
     terms_for_digits,
 )
@@ -115,3 +119,22 @@ def test_sqrt_enclosure(x):
 def test_sqrt_exact_square_tight():
     enc = sqrt_enclosure(Rat(49), 20)
     assert enc.lo <= 7 <= enc.hi
+
+
+@given(st.integers(1, 1000), st.integers(0, 1000), st.integers(0, 400), st.integers(0, 64))
+@settings(max_examples=300, deadline=None)
+def test_power_enclosure_contains_the_power_within_its_width(q, excess, k, spare):
+    p = q + excess  # p = q included
+    bits = 2 * k.bit_length() + 1 + spare  # 2 k**2 <= 2**bits, the width bound's premise
+    enc = power_enclosure(p, q, k, bits)
+    exact = Fraction(p, q) ** k
+    assert enc.lo <= exact <= enc.hi
+    assert enc.hi - enc.lo <= 4 * k * exact / 2**bits
+
+
+def test_power_enclosure_edges():
+    assert power_enclosure(7, 0, 0, 10) == IntervalValue.point(1)  # b = n: W = n**n
+    assert power_enclosure(5, 5, 300, 12) == IntervalValue.point(1)
+    assert power_enclosure(6, 3, 200, 8) == IntervalValue.point(2**200)  # exact on the grid
+    with pytest.raises(ValueError):
+        power_enclosure(2, 3, 5, 40)

@@ -19,12 +19,10 @@ from binram.kernel import (
     derivative_oracle,
     eval_g,
     eval_P,
-    eval_Q,
     full_integral,
     integral_from_zero,
     integrate_g_delta,
     kernel_polynomial,
-    signed_integral_split,
     taylor_sandwich,
     verify_claim1,
 )
@@ -143,12 +141,6 @@ def test_integral_matches_termwise_fraction_sum():
                     termwise_integral(b, n, u)
 
 
-def test_signed_split_consistency():
-    spec = BinomialSpec(4, 11)
-    u = Rat(3, 7)
-    assert signed_integral_split(spec, u) == full_integral(spec) - 2 * integral_from_zero(spec, u)
-
-
 def test_cell_and_grid():
     cell = DeltaCell.of(BinomialSpec(3, 10))
     assert (cell.lo, cell.hi) == (Rat(6, 10), Rat(7, 10))
@@ -221,6 +213,22 @@ def test_P_defining_identity(b, n):
     lead = x**b * (1 - x) ** (n - b)
     rhs = 24 * n**6 * x ** (4 - b) * (1 - x) ** (b + 2 - n) * (lead - b * s)
     assert Rat(eval_P(b, n)) == rhs
+
+
+def eval_Q(spec: BinomialSpec):
+    """The normalized fourth derivative at the cell's left endpoint:
+
+        d4 g(1 - (b+1)/n) = x**(b-5) * (1-x)**(n-b-4) * Q,   x = (b+1)/n.
+    """
+    b, n = spec.b, spec.n
+    x = Rat(b + 1, n)
+    w = 1 - x
+    return (
+        3 * (n - b - 1) ** 2 * x**2
+        - 2 * (n - b - 1) * x * (23 * w**2 + 7 * w - 1)
+        + 96 * w**3
+        + 24 * w**4
+    )
 
 
 @pytest.mark.parametrize("b,n", [(6, 20), (8, 26), (10, 33), (12, 40), (15, 60)])

@@ -1,5 +1,6 @@
-"""Start-up: importing the package or the CLI loads neither mpmath nor the
-process pool, yet still loads every module perfbench's tracer patches.
+"""Start-up: importing the package, the CLI or the enclosure path loads neither
+mpmath nor the process pool, yet the CLI still loads every module perfbench's
+tracer patches.
 
 Each check runs in a fresh interpreter, since this one has long since
 imported everything.  The tracer module is loaded from its file and only
@@ -17,7 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
-DEFERRED = ("mpmath", "binram.highprec", "concurrent.futures.process", "multiprocessing")
+DEFERRED = ("mpmath", "concurrent.futures.process", "multiprocessing")
 
 
 def load_tracer():
@@ -36,7 +37,8 @@ def modules_after(statement: str) -> set:
     return set(json.loads(proc.stdout))
 
 
-@pytest.mark.parametrize("statement", ["import binram", "import binram.cli"])
+@pytest.mark.parametrize("statement", ["import binram", "import binram.cli",
+                                       "import binram.highprec"])
 def test_import_defers_mpmath_and_the_pool(statement):
     assert sorted(modules_after(statement).intersection(DEFERRED)) == []
 
