@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import kernel, poisson
 from .backend import Rat, decimal_str
 from .exactcore import BinomialSpec, DomainError, p_diff_sign, tail_numerator, tail_pmf_head
-from .intervals import IntervalValue, e_enclosure
+from .intervals import IntervalValue, e_enclosure, terms_for_digits
 from .report import Report, ViolationReport
 
 VERIFIED = "verified"
@@ -97,10 +97,10 @@ def check_small_b(
 
     for b in range(b_lo, b_hi + 1):
         for n in range(3 * b + 2, n_cap + 1):
-            spec = BinomialSpec(b, n)
-            x = Rat(b + 1, n)
-            d4 = kernel.derivative_closed_form(spec, 4, Rat(n - b, n))
-            rhs = b * n * d4 / (5 * x ** (b - 4) * (1 - x) ** (n - b - 2))
+            # b n d4 / (5 x**(b-4) (1-x)**(n-b-2)) at x = (b+1)/n, d4 the fourth
+            # derivative at 1 - b/n, with n**(n-5) d4 from the integer closed form
+            d4 = kernel.derivative_closed_form(BinomialSpec(b, n), 4, n - b, n)
+            rhs = Rat(b * d4, 5 * (b + 1) ** (b - 4) * (n - b - 1) ** (n - b - 2))
             lhs = kernel.eval_P(b, n)
             if not lhs > rhs:
                 cert.record_violation(b, n, lhs, rhs, note="direct")
@@ -401,12 +401,6 @@ def check_z_lowerbound(
 # -- boundary cases (b <= 5 and b >= n-5) ---------------------------------------
 
 
-def _interval_e(digits: int = 40) -> IntervalValue:
-    from .intervals import terms_for_digits
-
-    return e_enclosure(terms_for_digits(digits))
-
-
 def _ineq1(n: int, e: IntervalValue, c: int = 2300) -> IntervalValue:
     return (
         Rat(899, 5)
@@ -460,7 +454,7 @@ def check_boundary_cases(n_scan: int = 160, growth_samples: int = 10) -> Inequal
     printed_brackets_suite(part)
     cert.witnesses.extend(part.violations)
 
-    e = _interval_e()
+    e = e_enclosure(terms_for_digits(40))
     samples = [20 + k * (180 // max(1, growth_samples - 1)) for k in range(growth_samples)]
     for label, fn in (("ineq1", _ineq1), ("ineq2", _ineq2)):
         prev = None
@@ -481,7 +475,6 @@ def check_boundary_cases(n_scan: int = 160, growth_samples: int = 10) -> Inequal
     for k, coeff in enumerate(coeffs[1:], start=1):
         if not coeff.lo > 0:
             cert.record_violation(23, 28, coeff.lo, 0, note=f"top-coeff-{k}")
-    cert.extra["e_bracket_digits"] = 40
     return cert.finish()
 
 
@@ -513,7 +506,6 @@ def check_root_bounds(b_hi: int = 10**4) -> InequalityCertificate:
     scanned exactly to b_hi and certified beyond by the derivative-sign tail."""
     rng = RangeSpec("root-bounds", 19, b_hi, 0, 0)
     cert = InequalityCertificate("appC-root-bounds", rng)
-    sharpness = {}
     for claim, (b_lo, factors) in _ROOT_PRODUCTS.items():
         for b in range(b_lo, b_hi + 1):
             prod = _root_product(factors, b)
@@ -522,9 +514,6 @@ def check_root_bounds(b_hi: int = 10**4) -> InequalityCertificate:
         tail_ok = all(_tail_positive(list(coeffs), b_hi) for coeffs in factors)
         if not tail_ok:
             cert.record_violation(b_hi, 0, 0, 0, note=f"{claim}-tail")
-        # sharpness probe one step below the stated range (recorded, not asserted)
-        sharpness[claim] = _root_product(factors, b_lo - 1)
-    cert.extra["sharpness_probes"] = sharpness
     return cert.finish()
 
 
@@ -583,18 +572,18 @@ def claim2_suite(report: Report, n_max: int) -> None:
 
 
 def claim3_suite(report: Report, ns) -> None:
-    """Taylor sandwich on the 5-point cell grid, 5 <= b <= n/2, n in `ns`; a witness per point."""
+    """Taylor sandwich on the 5-point cell grid, 5 <= b <= n/2, n in `ns`; a witness
+    per point, with g and the lower bound at z = (4(n-b-1) + j) / (4n)."""
     for n in ns:
         for b in range(5, n // 2 + 1):
-            spec = BinomialSpec(b, n)
-            sandwich = kernel.taylor_sandwich(spec)
+            den, rows = kernel.taylor_sandwich(BinomialSpec(b, n))
             ok = True
-            for z in kernel.DeltaCell.of(spec).grid(5):
-                g = kernel.eval_g(spec, z)
-                if not (sandwich.lower(z) <= g <= sandwich.upper(z)):
+            for j, (g, lower, upper) in enumerate(rows):
+                if not lower <= g <= upper:
                     ok = False
                     report.violations.append(ViolationReport.from_rationals(
-                        "claim3", b, n, g, sandwich.lower(z), note=f"z={z}"))
+                        "claim3", b, n, Rat(g, den), Rat(lower, den),
+                        note=f"z={Rat(4 * (n - b - 1) + j, 4 * n)}"))
             report.results.append(["claim3", b, n, "ok" if ok else "violated", "", "", "", ""])
 
 

@@ -12,7 +12,6 @@ A process loads the process pool only for ``--workers`` above 1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 EXIT_USAGE = 64  # 0, 1 and 2 come from Report.exit_code
@@ -45,7 +44,7 @@ from .exactcore import DomainError, p_diff_signs, z_diff_signs
 from .highprec import theorem2_threshold
 from .kernel import ORACLE_MAX_N, ResourceError
 from .precision import PrecisionPolicy
-from .report import CSV_HEADER, SCAN_P_HEADER, Report, ViolationReport, merge_reports
+from .report import CSV_HEADER, SCAN_P_HEADER, Report, merge_reports
 from .smalldev import conjecture_scan, tilde_p_monotonicity_scan, verify_samuels
 
 
@@ -68,11 +67,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _grid_step(text: str):
+def _rational(text: str):
     try:
         return as_rat(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad grid step {text!r}: expected P/Q") from exc
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: expected P/Q") from exc
 
 
 def _add_common(sub, *, n_max=None, b_max=None, digits=None, workers=False, grid=False):
@@ -87,7 +86,7 @@ def _add_common(sub, *, n_max=None, b_max=None, digits=None, workers=False, grid
     if workers:
         sub.add_argument("--workers", type=int, default=1)
     if grid:
-        sub.add_argument("--grid-step", type=_grid_step, default=Rat(1, 20))
+        sub.add_argument("--grid-step", type=_rational, default=Rat(1, 20))
 
 
 def build_parser() -> _Parser:
@@ -115,7 +114,8 @@ def build_parser() -> _Parser:
     _add_common(cert, n_max=2000, b_max=None)
     sd = subs.add_parser("smalldev", help="small-deviation reductions")
     sd.add_argument("target", choices=("samuels", "conjecture", "monotonicity"))
-    sd.add_argument("--c", default="1", help="shift parameter for monotonicity")
+    sd.add_argument("--c", type=_rational, default=Rat(1),
+                    help="shift parameter for monotonicity")
     sd.add_argument("--n-max", type=int, default=None)
     _add_common(sd, grid=True)
     merge = subs.add_parser("report-merge", help="merge JSON reports deterministically")
@@ -161,12 +161,11 @@ def _apply_config(parser: _Parser, argv: list) -> argparse.Namespace:
 def _emit(report: Report, args) -> int:
     if not report.results:
         raise DomainError(f"{args.command}: the requested range holds no point to check")
-    fmt = args.format
     report.meta.setdefault("header", report.header)
     if args.out:
-        report.write(args.out, fmt)
+        report.write(args.out, args.format)
     else:
-        sys.stdout.write(report.to_csv() if fmt == "csv" else report.to_json())
+        sys.stdout.write(report.render(args.format))
     return report.exit_code()
 
 
@@ -245,6 +244,9 @@ def cmd_verify(args) -> int:
     for claim in claims:
         if claim not in _VERIFY_SUITES:
             raise DomainError(f"unknown claim {claim!r}")
+        if claims.count(claim) > 1:
+            raise DomainError(f"claim {claim!r} listed more than once")
+    for claim in claims:
         checked = len(report.results)
         _VERIFY_SUITES[claim](report, args.n_max)
         if len(report.results) == checked:
@@ -315,7 +317,7 @@ def cmd_smalldev(args) -> int:
                 f"degenerate={result.degenerate_points}", "", "", ""])
     else:  # monotonicity: recorded signs, decreases listed but not violations
         n_max = 100 if args.n_max is None else args.n_max
-        signs, decreases = tilde_p_monotonicity_scan(as_rat(args.c), n_max)
+        signs, decreases = tilde_p_monotonicity_scan(args.c, n_max)
         increases = sum(1 for v in signs.values() if v > 0)
         report.results.append(["tilde-p-monotone", 1, n_max,
                                f"increases={increases}",
@@ -327,24 +329,8 @@ def cmd_smalldev(args) -> int:
 # -- merge ------------------------------------------------------------------------
 
 
-def _load_report(path: str) -> Report:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        meta = doc.get("meta", {})
-        rows = doc.get("results", [])
-        header = meta.get("header") or (list(rows[0].keys()) if rows else CSV_HEADER)
-        report = Report(meta=meta, header=header)
-        report.results = [[row.get(key, "") for key in header] for row in rows]
-        report.violations = [ViolationReport(**item) for item in doc.get("violations", [])]
-        report.inconclusive = int(doc.get("inconclusive", 0))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: not a binram JSON report ({exc!r})") from None
-    return report
-
-
 def cmd_report_merge(args) -> int:
-    reports = [_load_report(path) for path in args.inputs]
+    reports = [Report.read(path) for path in args.inputs]
     merged = merge_reports(reports)
     merged.meta["header"] = merged.header
     return _emit(merged, args)

@@ -3,11 +3,13 @@
 Consecutive binomial tail differences reduce to exact integrals of this
 kernel over the cell [1-(b+1)/n, 1-b/n].  This module provides:
 
-* exact evaluation and exact polynomial integration,
-* the closed-form derivative of any admissible order, together with an
-  independent oracle (coefficient-wise differentiation of the expanded
-  integer polynomial) used to cross-check it,
-* third-order Taylor bounds with fourth-derivative remainder brackets,
+* the closed form for the kernel and its derivative of any admissible
+  order, evaluated in integers at z = k/N, together with an independent
+  oracle (coefficient-wise differentiation of the expanded integer
+  polynomial) used to cross-check it,
+* exact polynomial integration,
+* third-order Taylor bounds with fourth-derivative remainder brackets, an
+  integer bracket on the cell's 5-point grid,
 * the certificate polynomials P and R whose signs drive the finite-range
   inequality certificates,
 * exact verification of the four tail/integral identities.
@@ -63,30 +65,14 @@ class DeltaCell:
         n = spec.n
         return cls(lo=Rat(n - spec.b - 1, n), hi=Rat(n - spec.b, n))
 
-    def grid(self, points: int = 5) -> list:
-        """Uniform rational grid with the endpoints included."""
-        if points < 2:
-            raise ValueError("need at least 2 grid points")
-        lo, hi = as_rat(self.lo), as_rat(self.hi)
-        step = (hi - lo) / (points - 1)
-        return [lo + j * step for j in range(points - 1)] + [hi]
-
-
-def eval_g(spec: BinomialSpec, z):
-    """Exact (1-z)**(b-1) * z**(n-b)."""
-    z = as_rat(z)
-    if not (0 <= z <= 1):
-        raise DomainError("z outside [0, 1]")
-    return (1 - z) ** (spec.b - 1) * z ** (spec.n - spec.b)
-
 
 def _closed_form_inner_coeffs(spec: BinomialSpec, order: int) -> list:
     """Coefficients of z**(order-i), i = 0..order, in the derivative formula,
-    for the admissible orders 1..min(b-1, n-b)."""
+    for the admissible orders 0..min(b-1, n-b); order 0 gives [1]."""
     b, n = spec.b, spec.n
-    if not (1 <= order <= min(b - 1, n - b)):
+    if not (0 <= order <= min(b - 1, n - b)):
         raise DomainError(
-            f"order {order} outside 1..min(b-1, n-b) = {min(b - 1, n - b)}"
+            f"order {order} outside 0..min(b-1, n-b) = {min(b - 1, n - b)}"
         )
     out = []
     for i in range(order + 1):
@@ -100,23 +86,31 @@ def _closed_form_inner_coeffs(spec: BinomialSpec, order: int) -> list:
     return out
 
 
-def derivative_closed_form(spec: BinomialSpec, order: int, z):
-    """Exact order-th derivative of the kernel via the closed-form sum.
+def derivative_closed_form(spec: BinomialSpec, order: int, k: int, big_n: int) -> int:
+    """N**(n-1-order) * (d^order g)(k/N) for 0 <= k <= N = big_n, an integer.
 
-    Admissible orders are 1..min(b-1, n-b); order 0 is accepted as the kernel
-    itself for a uniform interface.
+    The closed form, for the admissible orders 0..min(b-1, n-b) (order 0 is
+    g itself), is
+
+        (d^l g)(z) = (1-z)**(b-1-l) * z**(n-b-l) * sum_i c_i z**(l-i)
+
+    with c_i from _closed_form_inner_coeffs.  At z = k/N the three factors
+    are (N-k)**(b-1-l) / N**(b-1-l), k**(n-b-l) / N**(n-b-l) and
+    sum_i c_i k**(l-i) N**i / N**l.  The exponents of N add up to n-1-l,
+    none is negative, so
+
+        N**(n-1-l) (d^l g)(k/N) = (N-k)**(b-1-l) k**(n-b-l) sum_i c_i k**(l-i) N**i,
+
+    an integer.
     """
-    if order == 0:
-        return eval_g(spec, z)
+    if not (0 <= k <= big_n):
+        raise DomainError(f"z = {k}/{big_n} outside [0, 1]")
     b, n = spec.b, spec.n
-    coeffs = _closed_form_inner_coeffs(spec, order)
-    z = as_rat(z)
-    if not (0 <= z <= 1):
-        raise DomainError("z outside [0, 1]")
-    inner = Rat(0)
-    for i, c in enumerate(coeffs):
-        inner += c * z ** (order - i)
-    return (1 - z) ** (b - 1 - order) * z ** (n - b - order) * inner
+    inner, n_pow = 0, 1  # Horner in k for sum_i c_i k**(l-i) N**i; n_pow = N**i
+    for c in _closed_form_inner_coeffs(spec, order):
+        inner = inner * k + c * n_pow
+        n_pow *= big_n
+    return (big_n - k) ** (b - 1 - order) * k ** (n - b - order) * inner
 
 
 def kernel_polynomial(spec: BinomialSpec) -> IntegerPolynomial:
@@ -199,35 +193,22 @@ def integrate_g_delta(spec: BinomialSpec):
 # -- Taylor bounds ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaylorSandwich:
-    """Cubic Taylor polynomial at the cell's left endpoint plus a
-    fourth-derivative bracket valid across the cell."""
+def taylor_sandwich(spec: BinomialSpec) -> tuple:
+    """Pointwise bounds on the kernel on its cell's 5-point grid, stated for
+    5 <= b <= n/2, as integers over one denominator: (D, rows).
 
-    spec: BinomialSpec
-    z0: object
-    cubic_coeffs: tuple  # c_l = (d^l g)(z0) / l!,  l = 0..3
-    d4_minus: object
-    d4_plus: object
+    The cell is [z_0, z_4] with z_j = (k0 + j) / N, k0 = 4(n-b-1), N = 4n.
+    The bounds are the cubic Taylor polynomial at z_0 plus the fourth-order
+    term (z - z_0)**4 d4 / 24, with d4 the fourth derivative at z_0 (lower)
+    or at z_4 (upper).  With e(l, k) = derivative_closed_form(spec, l, k, N)
+    = N**(n-1-l) (d^l g)(k/N) and z_j - z_0 = j/N, multiplying by
+    D = 24 N**(n-1) turns the l-th Taylor term into (24/l!) e(l, k0) j**l,
+    so rows[j] = (G, lower, upper) with
 
-    def cubic(self, z):
-        dz = as_rat(z) - self.z0
-        acc = Rat(0)
-        for c in reversed(self.cubic_coeffs):
-            acc = acc * dz + c
-        return acc
+        G = 24 e(0, k0+j),   cubic = sum_{l<4} (24/l!) e(l, k0) j**l,
+        lower = cubic + e(4, k0) j**4,   upper = cubic + e(4, k0+4) j**4
 
-    def lower(self, z):
-        dz = as_rat(z) - self.z0
-        return self.cubic(z) + dz**4 * self.d4_minus / 24
-
-    def upper(self, z):
-        dz = as_rat(z) - self.z0
-        return self.cubic(z) + dz**4 * self.d4_plus / 24
-
-
-def taylor_sandwich(spec: BinomialSpec) -> TaylorSandwich:
-    """Pointwise bounds on the kernel over its cell, stated for 5 <= b <= n/2.
+    are D times g(z_j) and its two bounds.
 
     The bracket relies on the fourth derivative increasing across the cell.
     That premise is exactly true for b >= 6 on the ranges exercised here, but
@@ -239,18 +220,18 @@ def taylor_sandwich(spec: BinomialSpec) -> TaylorSandwich:
     b, n = spec.b, spec.n
     if not (5 <= b and 2 * b <= n):
         raise DomainError("sandwich requires 5 <= b <= n/2")
-    cell = DeltaCell.of(spec)
-    z0 = cell.lo
-    coeffs = tuple(
-        derivative_closed_form(spec, l, z0) / math.factorial(l) for l in range(4)
-    )
-    return TaylorSandwich(
-        spec=spec,
-        z0=z0,
-        cubic_coeffs=coeffs,
-        d4_minus=derivative_closed_form(spec, 4, z0),
-        d4_plus=derivative_closed_form(spec, 4, cell.hi),
-    )
+    big_n, k0 = 4 * n, 4 * (n - b - 1)
+
+    def e(order: int, k: int) -> int:
+        return derivative_closed_form(spec, order, k, big_n)
+
+    taylor = [24 // math.factorial(l) * e(l, k0) for l in range(4)]
+    d4_minus, d4_plus = e(4, k0), e(4, k0 + 4)
+    rows = []
+    for j in range(5):
+        cubic = sum(t * j**l for l, t in enumerate(taylor))
+        rows.append((24 * e(0, k0 + j), cubic + d4_minus * j**4, cubic + d4_plus * j**4))
+    return 24 * big_n ** (n - 1), rows
 
 
 # -- certificate polynomials ------------------------------------------------

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .backend import Rat
 from .exactcore import DomainError, falling
-from .intervals import IntervalValue, exp_neg_enclosure, sqrt_enclosure, terms_for_digits
+from .intervals import (IntervalValue, e_enclosure, exp_neg_enclosure, sqrt_enclosure,
+                        terms_for_digits)
 from .precision import DEFAULT_POLICY, PrecisionError, PrecisionPolicy
 
 
@@ -119,8 +120,6 @@ def beta_meets_upper_bound(b: int, beta: IntervalValue, bound: IntervalValue) ->
 def beta_upper_bound(digits: int = 40) -> IntervalValue:
     """Enclosure of the sharp upper bound -1 + 4/sqrt(21(368 - 135e)) for
     beta(b); beta(1) attains it exactly."""
-    from .intervals import e_enclosure
-
     e = e_enclosure(terms_for_digits(digits))
     inner = (e * (-135) + 368) * 21
     if not inner.lo > 0:

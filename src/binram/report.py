@@ -102,13 +102,34 @@ class Report:
         }
         return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
 
+    def render(self, fmt: str) -> str:
+        return self.to_csv() if fmt == "csv" else self.to_json()
+
     def write(self, path: str, fmt: str = "csv") -> None:
         """Atomic write: render fully, write to a sibling temp file, rename."""
-        payload = self.to_csv() if fmt == "csv" else self.to_json()
+        payload = self.render(fmt)
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
         os.replace(tmp, path)
+
+    @classmethod
+    def read(cls, path: str) -> "Report":
+        """A report from the JSON that to_json writes; a document of any other
+        shape is a ValueError naming the path."""
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        try:
+            meta = doc.get("meta", {})
+            rows = doc.get("results", [])
+            header = meta.get("header") or (list(rows[0].keys()) if rows else CSV_HEADER)
+            report = cls(meta=meta, header=header)
+            report.results = [[row.get(key, "") for key in header] for row in rows]
+            report.violations = [ViolationReport(**item) for item in doc.get("violations", [])]
+            report.inconclusive = int(doc.get("inconclusive", 0))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a binram JSON report ({exc!r})") from None
+        return report
 
 
 def _order(x) -> tuple:

@@ -1,6 +1,6 @@
 """Inequality certificates on reduced ranges: statuses, the known corner
-violations of the medium-band sufficient inequality, sharpness probes, and the
-derivative-sign tail argument."""
+violations of the medium-band sufficient inequality, the root products'
+sharpness, and the derivative-sign tail argument."""
 
 import math
 import random
@@ -12,6 +12,8 @@ from binram.backend import Rat
 from binram.certificates import (
     VERIFIED,
     VIOLATED,
+    _ROOT_PRODUCTS,
+    _root_product,
     _tail_positive,
     _z_bound_gap,
     above_half_bracket,
@@ -315,13 +317,12 @@ def test_sign_suite_witness_reaches_the_boundary_certificate(monkeypatch):
 def test_boundary_cases_verified():
     cert = check_boundary_cases(n_scan=80)
     assert cert.status == VERIFIED
-    assert cert.extra["e_bracket_digits"] == 40
 
 
 def test_root_bounds_verified_with_sharpness():
     cert = check_root_bounds(b_hi=500)
     assert cert.status == VERIFIED
-    probes = cert.extra["sharpness_probes"]
     # one step below the stated ranges the products really go negative
-    assert probes["appC-root-bound-39"] == -3081144864
-    assert probes["appC-root-bound-19"] == -42693300
+    probes = {claim: _root_product(factors, b_lo - 1)
+              for claim, (b_lo, factors) in _ROOT_PRODUCTS.items()}
+    assert probes == {"appC-root-bound-39": -3081144864, "appC-root-bound-19": -42693300}

@@ -119,6 +119,20 @@ def test_bad_grid_step_rejected(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["smalldev", "monotonicity", "--c", "1/0"], "binram smalldev: error: argument --c: "),
+    (["verify", "--claims", "1,1"], "binram: claim '1' listed more than once"),
+])
+def test_zero_denominator_and_repeated_claim_are_usage_errors(argv, message):
+    """Run as a process, so that a traceback would show on stderr."""
+    proc = subprocess.run([sys.executable, "-m", "binram.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -- determinism and formats --------------------------------------------------
 
 
@@ -143,6 +157,10 @@ def test_byte_identical_reruns(capsys):
      "2c7c6f545aedb6657b107409e3f4ec9708019f866af909fdf95ec23ad6247937"),
     (["certify", "z-lowerbound", "--n-max", "120"], 0,
      "02d8c929a90701f17a88a1eaf7ae5ee5ceafeae4176d4a58372c97c29862bbf3"),
+    (["verify", "--claims", "3", "--n-max", "200"], 1,
+     "622339ebf48e9b927ca732c1c82c85a4fb881b948a1fdcd1da03650f33c29db7"),
+    (["certify", "appendix-c"], 1,
+     "6e53b309f7c32545ebc2c9f7df558f88f860231d91e54755933fabcbc628ff67"),
 ])
 def test_pinned_report_digests(argv, code, digest, capsys):
     """CSV reports carry no backend name, so these digests hold on both

@@ -1,6 +1,6 @@
-"""Kernel calculus: closed-form derivatives vs the coefficient oracle and
-sympy, exact integrals, Taylor sandwich, and the certificate polynomials'
-defining identities."""
+"""Kernel calculus: the integer closed form vs a Fraction reference, the
+coefficient oracle and sympy, exact integrals, Taylor sandwich, and the
+certificate polynomials' defining identities."""
 
 import math
 from fractions import Fraction
@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from binram import certificates
 from binram.backend import Rat
 from binram.exactcore import BinomialSpec, DomainError
 from binram.kernel import (
@@ -17,7 +18,6 @@ from binram.kernel import (
     derivative_closed_form,
     derivative_closed_form_polynomial,
     derivative_oracle,
-    eval_g,
     eval_P,
     full_integral,
     integral_from_zero,
@@ -28,6 +28,28 @@ from binram.kernel import (
 )
 
 PAIRS = [(2, 5), (3, 8), (5, 12), (6, 20), (7, 15), (10, 25), (12, 40)]
+
+
+def fraction_kernel(b, n, z):
+    return (1 - z) ** (b - 1) * z ** (n - b)
+
+
+def fraction_closed_form(b, n, order, z):
+    """Reference: the closed-form derivative evaluated in Fractions at z,
+    (1-z)**(b-1-l) z**(n-b-l) sum_i C(l, i) (-1)**(l-i) (n-1-i)_(l-i) (n-b)_i z**(l-i)."""
+    if order == 0:
+        return fraction_kernel(b, n, z)
+    inner = sum(
+        math.comb(order, i) * (-1) ** (order - i) * math.perm(n - 1 - i, order - i)
+        * math.perm(n - b, i) * z ** (order - i)
+        for i in range(order + 1)
+    )
+    return (1 - z) ** (b - 1 - order) * z ** (n - b - order) * inner
+
+
+def closed_form_value(spec, order, k, big_n):
+    """(d^order g)(k/N) from the package's integer closed form."""
+    return Rat(derivative_closed_form(spec, order, k, big_n), big_n ** (spec.n - 1 - order))
 
 
 def sympy_kernel(b, n):
@@ -49,8 +71,8 @@ def test_integer_polynomial_basics():
 def test_kernel_polynomial_matches_pointwise(b, n):
     spec = BinomialSpec(b, n)
     poly = kernel_polynomial(spec)
-    for z in (Rat(0), Rat(1, 7), Rat(2, 3), Rat(1)):
-        assert poly(z) == eval_g(spec, z)
+    for k, big_n in ((0, 1), (1, 7), (2, 3), (1, 1)):
+        assert poly(Rat(k, big_n)) == closed_form_value(spec, 0, k, big_n)
 
 
 def test_kernel_polynomial_cost_guard():
@@ -71,13 +93,28 @@ def test_closed_form_equals_oracle_all_orders(b, n):
             assert closed(z) == oracle(z)
 
 
+def test_integer_closed_form_matches_fraction_reference():
+    """N**(n-1-l) times the Fraction closed form, every admissible order l
+    (0 included) at n <= 40: at both ends of [0, 1], inside the cell
+    [1-(b+1)/n, 1-b/n] where there is one, and at two other points k/N."""
+    for n in range(1, 41):
+        for b in range(1, n + 1):
+            spec = BinomialSpec(b, n)
+            in_cell = (4 * (n - b) - 1, 4 * n) if b < n else (1, 2)
+            for order in range(min(b - 1, n - b) + 1):
+                for k, big_n in ((0, 1), (1, 1), in_cell, (1, 3), (5, 7)):
+                    want = fraction_closed_form(b, n, order, Fraction(k, big_n))
+                    got = derivative_closed_form(spec, order, k, big_n)
+                    assert got == want * big_n ** (n - 1 - order), (b, n, order, k, big_n)
+
+
 @pytest.mark.parametrize("b,n,order", [(3, 8, 1), (5, 12, 2), (6, 20, 3), (7, 15, 4)])
 def test_derivative_matches_sympy(b, n, order):
     z, g = sympy_kernel(b, n)
     want = sympy.diff(g, z, order)
     pt = sympy.Rational(2, 7)
     spec = BinomialSpec(b, n)
-    got = derivative_closed_form(spec, order, Rat(2, 7))
+    got = closed_form_value(spec, order, 2, 7)
     want_val = sympy.Rational(want.subs(z, pt))
     assert Fraction(int(got.numerator), int(got.denominator)) == Fraction(
         int(want_val.p), int(want_val.q)
@@ -85,11 +122,15 @@ def test_derivative_matches_sympy(b, n, order):
 
 
 def test_derivative_order_guard():
-    spec = BinomialSpec(3, 8)  # closed form admits orders 1..2
-    with pytest.raises(DomainError):
-        derivative_closed_form(spec, 3, Rat(1, 2))
+    spec = BinomialSpec(3, 8)  # closed form admits orders 0..2
+    for order in (-1, 3):
+        with pytest.raises(DomainError):
+            derivative_closed_form(spec, order, 1, 2)
     with pytest.raises(DomainError):
         derivative_closed_form_polynomial(spec, 3)
+    for k in (-1, 3):  # z = k/2 outside [0, 1]
+        with pytest.raises(DomainError):
+            derivative_closed_form(spec, 1, k, 2)
 
 
 # -- integration --------------------------------------------------------------
@@ -144,8 +185,6 @@ def test_integral_matches_termwise_fraction_sum():
 def test_cell_and_grid():
     cell = DeltaCell.of(BinomialSpec(3, 10))
     assert (cell.lo, cell.hi) == (Rat(6, 10), Rat(7, 10))
-    grid = cell.grid(5)
-    assert grid[0] == cell.lo and grid[-1] == cell.hi and len(grid) == 5
     with pytest.raises(DomainError):
         DeltaCell.of(BinomialSpec(10, 10))
 
@@ -153,14 +192,41 @@ def test_cell_and_grid():
 # -- Taylor sandwich ----------------------------------------------------------
 
 
+def reference_sandwich(b, n):
+    """[(g, lower, upper)] at z_j = z0 + j/(4n), j = 0..4, in Fractions: the
+    cubic Taylor polynomial at the cell's left end z0 plus (z-z0)**4 d4 / 24,
+    d4 the fourth derivative at z0 (lower) or at the right end (upper)."""
+    z0 = Fraction(n - b - 1, n)
+    cubic_coeffs = [fraction_closed_form(b, n, l, z0) / math.factorial(l) for l in range(4)]
+    d4_minus = fraction_closed_form(b, n, 4, z0)
+    d4_plus = fraction_closed_form(b, n, 4, Fraction(n - b, n))
+    rows = []
+    for j in range(5):
+        dz = Fraction(j, 4 * n)
+        cubic = sum(c * dz**l for l, c in enumerate(cubic_coeffs))
+        rows.append((fraction_kernel(b, n, z0 + dz),
+                     cubic + dz**4 * d4_minus / 24, cubic + dz**4 * d4_plus / 24))
+    return rows
+
+
+def test_taylor_sandwich_rows_equal_the_fraction_reference():
+    for n in range(10, 61):
+        for b in range(5, n // 2 + 1):
+            den, rows = taylor_sandwich(BinomialSpec(b, n))
+            assert den == 24 * (4 * n) ** (n - 1)
+            assert [tuple(Fraction(v, den) for v in row) for row in rows] == \
+                reference_sandwich(b, n), (b, n)
+            for j, (g, _, _) in enumerate(rows):
+                z = Fraction(4 * (n - b - 1) + j, 4 * n)
+                assert Fraction(g, den) == (1 - z) ** (b - 1) * z ** (n - b)
+
+
 @pytest.mark.parametrize("b,n", [(5, 12), (6, 20), (10, 25), (12, 40)])
 def test_taylor_sandwich_brackets_kernel(b, n):
-    spec = BinomialSpec(b, n)
-    sw = taylor_sandwich(spec)
-    cell = DeltaCell.of(spec)
-    for z in cell.grid(9):
-        g = eval_g(spec, z)
-        assert sw.lower(z) <= g <= sw.upper(z)
+    _, rows = taylor_sandwich(BinomialSpec(b, n))
+    assert len(rows) == 5
+    for g, lower, upper in rows:
+        assert lower <= g <= upper
 
 
 def test_taylor_sandwich_known_edge_at_b5():
@@ -168,12 +234,13 @@ def test_taylor_sandwich_known_edge_at_b5():
     (it dips below its left-endpoint value), so the stated lower bound fails
     there; pinned as an exact fact, cross-checked with sympy above."""
     spec = BinomialSpec(5, 56)
-    d4_lo = derivative_closed_form(spec, 4, DeltaCell.of(spec).lo)
-    d4_dip = derivative_closed_form(spec, 4, Rat(143, 160))  # interior point
+    d4_lo = closed_form_value(spec, 4, 200, 224)  # the cell's left end
+    d4_dip = closed_form_value(spec, 4, 143, 160)  # interior point
     assert d4_dip < d4_lo  # non-monotone fourth derivative
-    sw = taylor_sandwich(spec)
-    z = Rat(201, 224)
-    assert not sw.lower(z) <= eval_g(spec, z)  # the stated bound breaks
+    den, rows = taylor_sandwich(spec)
+    g, lower, _ = rows[1]  # z = 201/224
+    assert not lower <= g  # the stated bound breaks
+    assert [j for j, (g, lower, _) in enumerate(rows) if not lower <= g] == [1]
 
 
 def test_taylor_sandwich_domain_guard():
@@ -209,7 +276,7 @@ def test_P_defining_identity(b, n):
     x = Rat(b + 1, n)
     s = Rat(0)
     for l in range(4):
-        s += derivative_closed_form(spec, l, 1 - x) / (math.factorial(l + 1) * n ** (l + 1))
+        s += closed_form_value(spec, l, n - b - 1, n) / (math.factorial(l + 1) * n ** (l + 1))
     lead = x**b * (1 - x) ** (n - b)
     rhs = 24 * n**6 * x ** (4 - b) * (1 - x) ** (b + 2 - n) * (lead - b * s)
     assert Rat(eval_P(b, n)) == rhs
@@ -235,9 +302,27 @@ def eval_Q(spec: BinomialSpec):
 def test_Q_identity(b, n):
     spec = BinomialSpec(b, n)
     x = Rat(b + 1, n)
-    assert derivative_closed_form(spec, 4, 1 - x) == x ** (b - 5) * (1 - x) ** (
+    assert closed_form_value(spec, 4, n - b - 1, n) == x ** (b - 5) * (1 - x) ** (
         n - b - 4
     ) * eval_Q(spec)
+
+
+@pytest.mark.parametrize("b_lo,b_hi,n_cap", [(6, 9, 40), (39, 39, 157)])
+def test_small_b_rhs_equals_the_fraction_formula(monkeypatch, b_lo, b_hi, n_cap):
+    """With P forced below every right-hand side, each direct point of the
+    small-b certificate is a witness carrying its exact right-hand side
+    b n d4 / (5 x**(b-4) (1-x)**(n-b-2)), x = (b+1)/n, d4 the fourth
+    derivative at 1 - b/n, here from the Fraction closed form."""
+    monkeypatch.setattr(certificates.kernel, "eval_P", lambda b, n: -10**1000)
+    cert = certificates.check_small_b(b_lo, b_hi, n_cap, tail_b_hi=b_hi)
+    direct = [(w.b, w.n, Fraction(w.raw_rhs)) for w in cert.witnesses if w.note == "direct"]
+    want = []
+    for b in range(b_lo, b_hi + 1):
+        for n in range(3 * b + 2, n_cap + 1):
+            x = Fraction(b + 1, n)
+            d4 = fraction_closed_form(b, n, 4, Fraction(n - b, n))
+            want.append((b, n, b * n * d4 / (5 * x ** (b - 4) * (1 - x) ** (n - b - 2))))
+    assert direct == want
 
 
 # -- integral identity suite --------------------------------------------------
