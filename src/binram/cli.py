@@ -45,7 +45,12 @@ from .highprec import theorem2_threshold
 from .kernel import ORACLE_MAX_N, ResourceError
 from .precision import PrecisionPolicy
 from .report import CSV_HEADER, SCAN_P_HEADER, Report, merge_reports
-from .smalldev import conjecture_scan, tilde_p_monotonicity_scan, verify_samuels
+from .smalldev import (
+    conjecture_grid,
+    conjecture_scan,
+    tilde_p_monotonicity_scan,
+    verify_samuels,
+)
 
 
 def __getattr__(name):
@@ -308,6 +313,7 @@ def cmd_smalldev(args) -> int:
         report.results.append(["samuels", 2, n_max, "scanned", "", "", "", ""])
     elif args.target == "conjecture":
         n_max = 20 if args.n_max is None else args.n_max
+        conjecture_grid(n_max, args.grid_step)  # the guards, before the first row
         for n in range(2, n_max + 1):
             result = conjecture_scan(n, args.grid_step)
             report.violations.extend(result.violations)

@@ -119,6 +119,25 @@ def test_bad_grid_step_rejected(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("step", ["0", "-1/10"])
+def test_non_positive_grid_step_is_a_usage_error(step, capsys):
+    code = main(["smalldev", "conjecture", "--n-max", "5", f"--grid-step={step}"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == "binram: grid_step must be > 0\n"
+
+
+def test_conjecture_guard_trips_before_the_first_row(monkeypatch, capsys):
+    scanned = []
+    monkeypatch.setattr(cli, "conjecture_scan", lambda n, step: scanned.append(n))
+    code = main(["smalldev", "conjecture", "--n-max", "61"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.err == "binram: scan guarded at n <= 60\n"
+    assert scanned == []
+
+
 @pytest.mark.parametrize("argv,message", [
     (["smalldev", "monotonicity", "--c", "1/0"], "binram smalldev: error: argument --c: "),
     (["verify", "--claims", "1,1"], "binram: claim '1' listed more than once"),
@@ -161,12 +180,25 @@ def test_byte_identical_reruns(capsys):
      "622339ebf48e9b927ca732c1c82c85a4fb881b948a1fdcd1da03650f33c29db7"),
     (["certify", "appendix-c"], 1,
      "6e53b309f7c32545ebc2c9f7df558f88f860231d91e54755933fabcbc628ff67"),
+    (["smalldev", "samuels", "--n-max", "80"], 0,
+     "bc807f2ef1b46b45ca8cc779f8adeb35a94b10dcdc73a918b086e58f676469e5"),
+    (["smalldev", "conjecture", "--n-max", "6"], 0,
+     "adc6ee8b1dfe44d407cb38fde4c9ccd0ffb561374f50cfbb1a83e4e8fd477c58"),
+    (["smalldev", "conjecture", "--n-max", "8", "--grid-step", "3/40"], 0,
+     "f8978b38e16a415070772e16a7d78f28dbadf635bbd90d467c02439409387ded"),
+    (["smalldev", "monotonicity", "--n-max", "50"], 0,
+     "5ecf4ab1adebdb367c68680d06bdbd74717409bc30a3748bb11c198449794305"),
+    (["smalldev", "monotonicity", "--c", "1/7", "--n-max", "40", "--format", "json"], 0,
+     "51889a2730f1535cc970601c16c5a4edabe3ef6090551536fb9486ff2914c2da"),
 ])
 def test_pinned_report_digests(argv, code, digest, capsys):
     """CSV reports carry no backend name, so these digests hold on both
-    backends; a change to any row, witness or exit code shows here."""
+    backends; a change to any row, witness or exit code shows here.  A JSON
+    report names its backend in its meta, so it is hashed as the fractions
+    backend writes it."""
     got_code, out = run_cli(argv, capsys)
     assert got_code == code
+    out = out.replace(f'"backend": "{cli.BACKEND}"', '"backend": "fractions"')
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
