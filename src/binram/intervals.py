@@ -8,12 +8,14 @@ operations stay rigorous.  Endpoint blow-up is controlled with
 
 Transcendental constants are produced from elementary certified brackets:
 e and 1/e from truncated exponential series with explicit remainder bounds,
-square roots from integer sqrt with outward rounding, and large rational
-powers by fixed-point binary powering with outward rounding.
+exp(-b) as the integer closed form of the b-th power of the 1/e bracket on a
+10**-k grid, square roots from integer sqrt with outward rounding, and large
+rational powers by fixed-point binary powering with outward rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,11 +118,13 @@ def _coerce(x) -> IntervalValue:
 # -- certified constants ----------------------------------------------------
 
 
+@functools.cache
 def exp_neg1_enclosure(terms: int) -> IntervalValue:
     """Enclosure of 1/e from the alternating series sum (-1)^k / k!.
 
     Partial sums alternate around the limit, so consecutive partial sums
-    bracket it exactly.
+    bracket it exactly.  Cached per ``terms``: every exp(-b) at one precision
+    powers the same bracket.
     """
     if terms < 3:
         raise ValueError("terms must be >= 3")
@@ -138,11 +142,26 @@ def exp_neg1_enclosure(terms: int) -> IntervalValue:
     return IntervalValue(lo, hi)
 
 
-def exp_neg_enclosure(b: int, terms: int) -> IntervalValue:
-    """Enclosure of exp(-b) for integer b >= 1 by powering the 1/e bracket."""
+def exp_neg_enclosure(b: int, terms: int, digits: int) -> IntervalValue:
+    """Enclosure of exp(-b) for integer b >= 1, with endpoints on the grid
+    10**-digits, by powering the 1/e bracket of ``exp_neg1_enclosure(terms)``.
+
+    Integer closed form.  With the bracket [nl/dl, nh/dh] and 0 < nl/dl, the
+    b-th powers give nl**b / dl**b <= exp(-b) <= nh**b / dh**b, and the
+    endpoints returned are floor(nl**b 10**digits / dl**b) and
+    ceil(nh**b 10**digits / dh**b), over 10**digits.  These are exactly the
+    endpoints of ``(bracket ** b).round_out(digits)``: the power of a
+    rational p/q is the rational p**b / q**b, and round_out takes the floor
+    (ceiling) of the same value times 10**digits.  No b-th power of a
+    rational is reduced, compared or divided.
+    """
     if b < 1:
         raise ValueError("b must be >= 1")
-    return exp_neg1_enclosure(terms) ** b
+    bracket = exp_neg1_enclosure(terms)
+    lo, hi = bracket.lo, bracket.hi
+    scale = 10**digits
+    return IntervalValue(Rat(lo.numerator**b * scale // lo.denominator**b, scale),
+                         Rat(-(-hi.numerator**b * scale // hi.denominator**b), scale))
 
 
 def e_enclosure(terms: int) -> IntervalValue:
@@ -205,7 +224,11 @@ def power_enclosure(p: int, q: int, k: int, bits: int) -> IntervalValue:
 
 
 def terms_for_digits(digits: int) -> int:
-    """Smallest series length m with 1/(m+1)! < 10**-(digits+5)."""
+    """Smallest series length m with 1/m! < 10**-(digits+5).
+
+    That is the width of ``exp_neg1_enclosure(m)`` exactly; the width of
+    ``e_enclosure(m)`` is 1/(m m!).
+    """
     target = 10 ** (digits + 5)
     fact = 1
     m = 0

@@ -5,6 +5,10 @@ only approximate ingredient is the enclosure of exp(-b), obtained by powering
 a certified 1/e bracket.  All downstream intervals are therefore rigorous:
 the true real value lies between the rational endpoints.
 
+y, alpha and beta are integer closed forms on a 10**-k grid: each endpoint is
+one floor or ceiling division of integers, equal to the endpoint the outward
+interval chain over exact rationals would give (proofs in the docstrings).
+
 The headline quantity is y(b) = (1/2 - P(N < b)) / P(N = b) for N ~ Poisson(b),
 classically confined to (1/3, 1/2) and decreasing, together with the
 correction coefficients alpha(b) and beta(b) of its 1/b expansion.
@@ -30,9 +34,13 @@ def _digits_of_magnitude(b: int) -> int:
 
 def _exp_neg_interval(b: int, digits: int) -> IntervalValue:
     """Enclosure of exp(-b) with relative width about 10**-digits."""
-    terms = terms_for_digits(digits)
-    raw = exp_neg_enclosure(b, terms)
-    return raw.round_out(digits + _digits_of_magnitude(b) + 10)
+    k = digits + _digits_of_magnitude(b) + 10
+    return exp_neg_enclosure(b, terms_for_digits(digits), k)
+
+
+def _on_grid(q, scale: int) -> int:
+    """The integer q * scale, for a rational q whose denominator divides scale."""
+    return q.numerator * (scale // q.denominator)
 
 
 def poisson_weights(b: int):
@@ -57,16 +65,37 @@ def pmf_weight(b: int) -> "Rat":
 
 
 def y_poisson(b: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue:
-    """Enclosure of y(b) = (1/2 - P(N < b)) / P(N = b)."""
-    target = Rat(1, 10**policy.digits)
+    """Enclosure of y(b) = (1/2 - P(N < b)) / P(N = b), on the grid 10**-d of
+    the first attempt d in ``policy.escalation_digits()`` whose width is at
+    most 10**-policy.digits.
+
+    Integer closed form of the interval chain ((1/2 - s e) / (t e)).round_out(d),
+    with s = sn/sd = tail_weight(b), t = tn/td = pmf_weight(b) and
+    e in [L, H] / M from ``exp_neg_enclosure`` over a common denominator M.
+    Write y(E1, E2) for (1/2 - s E1/M) / (t E2/M) = N(E1) / (2 sd tn E2), with
+    N(E) = td (sd M - 2 sn E).  The chain divides [N(H), N(L)] / (2 sd td M)
+    by [tn H, tn L] / (td M), with L > 0, so its least value
+    is y(H, H) when N(H) >= 0 and y(H, L) otherwise, and its greatest is
+    y(L, L) when N(L) >= 0 and y(L, H) otherwise.  Floor and ceiling put
+    these on the grid 10**-d, and the width test
+    (y_hi - y_lo) / 10**d <= 10**-policy.digits is checked in integers.
+    L = 0 raises ZeroDivisionError, as the chain's reciprocal did.
+    """
     s = tail_weight(b)
     t = pmf_weight(b)
+    den = 2 * s.denominator * t.numerator
     for digits in policy.escalation_digits():
         e = _exp_neg_interval(b, digits)
-        y = ((Rat(1, 2) - s * e) / (t * e)).round_out(digits)
-        if y.width() <= target:
-            return y
-    raise PrecisionError(f"y enclosure for b={b} did not reach width {target}")
+        m = math.lcm(e.lo.denominator, e.hi.denominator)
+        lo_e, hi_e = _on_grid(e.lo, m), _on_grid(e.hi, m)
+        n_lo = t.denominator * (s.denominator * m - 2 * s.numerator * hi_e)
+        n_hi = t.denominator * (s.denominator * m - 2 * s.numerator * lo_e)
+        scale = 10**digits
+        y_lo = n_lo * scale // (den * (hi_e if n_lo >= 0 else lo_e))
+        y_hi = -(-n_hi * scale // (den * (lo_e if n_hi >= 0 else hi_e)))
+        if (y_hi - y_lo) * 10**policy.digits <= scale:
+            return IntervalValue(Rat(y_lo, scale), Rat(y_hi, scale))
+    raise PrecisionError(f"y enclosure for b={b} did not reach width {Rat(1, 10**policy.digits)}")
 
 
 def alpha_beta(b: int, policy: PrecisionPolicy = DEFAULT_POLICY):
@@ -83,25 +112,51 @@ def alpha_beta(b: int, policy: PrecisionPolicy = DEFAULT_POLICY):
 
     Escalates precision until neither defining denominator interval straddles
     zero; raises PrecisionError if the budget runs out first.
+
+    Integer closed form of the interval chain
+
+        alpha   = (4 / ((y - 1/3) 135) - b).round_out(d),
+        squared = 8 / ((4/(135 b) + 1/3 - y) 2835),
+        beta    = ([sqrt_enclosure(squared.lo, d).lo,
+                    sqrt_enclosure(squared.hi, d).hi] - b).round_out(d).
+
+    y_poisson at d digits with one escalation puts y on the grid 10**-d or
+    10**-2d, so y = [Y_lo, Y_hi] / E with E = 10**2d.  Then
+    (y - 1/3) 135 = X(Y) / E with X(Y) = 45 (3 Y - E), increasing in Y, and
+    (4/(135 b) + 1/3 - y) 2835 = Z(Y) / (b E) with
+    Z(Y) = 21 ((4 + 45 b) E - 135 b Y), decreasing in Y.  The reciprocal of an
+    interval [u, v] not containing 0 is [1/v, 1/u] on either side of 0, so
+
+        alpha   = [4 E / X(Y_hi) - b, 4 E / X(Y_lo) - b],
+        squared = [8 b E / Z(Y_lo), 8 b E / Z(Y_hi)],
+
+    and an X or Z interval containing 0 is the chain's ZeroDivisionError.
+    squared.lo > 0 holds exactly when both Z are positive.  With D = 10**d,
+    floor and ceiling give alpha on the grid 1/D (b D is an integer), and
+    sqrt_enclosure's floor(x D**2) gives the roots isqrt(floor(8 b E D**2 / Z(Y_lo)))
+    and isqrt(floor(8 b E D**2 / Z(Y_hi))) + 1, over D, which round_out leaves as they are.
     """
     last_exc = None
     for digits in policy.escalation_digits():
         y = y_poisson(b, PrecisionPolicy(digits=digits, max_escalations=1))
-        try:
-            alpha = 4 / ((y - Rat(1, 3)) * 135) - b
-            squared = 8 / ((Rat(4, 135 * b) + Rat(1, 3) - y) * 2835)
-        except ZeroDivisionError as exc:
-            last_exc = exc
+        y_scale = 10 ** (2 * digits)
+        y_lo, y_hi = _on_grid(y.lo, y_scale), _on_grid(y.hi, y_scale)
+        x_lo, x_hi = 45 * (3 * y_lo - y_scale), 45 * (3 * y_hi - y_scale)
+        z_lo = 21 * ((4 + 45 * b) * y_scale - 135 * b * y_hi)
+        z_hi = 21 * ((4 + 45 * b) * y_scale - 135 * b * y_lo)
+        if x_lo <= 0 <= x_hi or z_lo <= 0 <= z_hi:
+            last_exc = ZeroDivisionError("interval contains zero")
             continue
-        if not squared.lo > 0:
+        if z_lo < 0:
             last_exc = None
             continue
-        root = IntervalValue(
-            sqrt_enclosure(squared.lo, digits).lo,
-            sqrt_enclosure(squared.hi, digits).hi,
-        )
-        beta = root - b
-        return y, alpha.round_out(digits), beta.round_out(digits)
+        scale = 10**digits
+        alpha = IntervalValue(Rat(4 * y_scale * scale // x_hi - b * scale, scale),
+                              Rat(-(-4 * y_scale * scale // x_lo) - b * scale, scale))
+        root_lo = math.isqrt(8 * b * y_scale * scale**2 // z_hi)
+        root_hi = math.isqrt(8 * b * y_scale * scale**2 // z_lo) + 1
+        beta = IntervalValue(Rat(root_lo - b * scale, scale), Rat(root_hi - b * scale, scale))
+        return y, alpha, beta
     raise PrecisionError(f"alpha/beta for b={b}: denominator stayed inconclusive") from last_exc
 
 

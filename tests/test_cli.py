@@ -190,6 +190,13 @@ def test_byte_identical_reruns(capsys):
      "5ecf4ab1adebdb367c68680d06bdbd74717409bc30a3748bb11c198449794305"),
     (["smalldev", "monotonicity", "--c", "1/7", "--n-max", "40", "--format", "json"], 0,
      "51889a2730f1535cc970601c16c5a4edabe3ef6090551536fb9486ff2914c2da"),
+    (["poisson", "--b-max", "150", "--digits", "30"], 0,
+     "2c5cbcbf856e3fea025cbd8aeda3ced3d0336a408092a16d00ee6ccea42921b7"),
+    (["poisson", "--b-max", "150", "--digits", "60"], 0,
+     "3d2dc475d2efdbdaba6cc95c60c4443d2a2e19ca44164acec3a8b66990f967f1"),
+    (["poisson"], 0, "9ad080fd4a00861a538ed9cb8d9fb2f650d316dd1cfead4b98a7ca97db2681a8"),
+    (["poisson", "--b-max", "200", "--digits", "31", "--format", "json"], 0,
+     "e05e41aee6e3a6f5c9bfd84f0e6c5f3dc7929d73d6d7d49307c2af6768354419"),
 ])
 def test_pinned_report_digests(argv, code, digest, capsys):
     """CSV reports carry no backend name, so these digests hold on both

@@ -105,8 +105,9 @@ def test_exp_neg1_alternating_bracket():
 @pytest.mark.parametrize("b", [1, 2, 5, 20, 100])
 def test_exp_neg_enclosure(b):
     with mpmath.workdps(260):
-        enc = exp_neg_enclosure(b, terms_for_digits(60))
+        enc = exp_neg_enclosure(b, terms_for_digits(60), 120)
         assert contains_mp(enc, mpmath.exp(-b))
+        assert 10**120 % enc.lo.denominator == 0 and 10**120 % enc.hi.denominator == 0
 
 
 @pytest.mark.parametrize("x", [Rat(2), Rat(10), Rat(1, 4), Rat(49), Rat(77, 360)])

@@ -1,14 +1,18 @@
 """Poisson enclosures: exact weights, mpmath cross-checks of the enclosures,
+the integer closed forms against the interval chains they replace,
 factorial-moment identities, and the sharpness of the beta upper bound."""
 
+import functools
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from binram import intervals, poisson
 from binram.backend import Rat
 from binram.exactcore import DomainError
+from binram.intervals import IntervalValue, exp_neg_enclosure, sqrt_enclosure, terms_for_digits
 from binram.poisson import (
     alpha_beta,
     beta_meets_upper_bound,
@@ -22,7 +26,7 @@ from binram.poisson import (
     truncated_moment,
     y_poisson,
 )
-from binram.precision import PrecisionPolicy
+from binram.precision import PrecisionError, PrecisionPolicy
 
 POLICY = PrecisionPolicy(digits=40, max_escalations=2)
 
@@ -166,3 +170,116 @@ def test_summarize_consistency():
     assert s.b == 4
     assert s.tail.lo > 0 and s.pmf_at_b.lo > 0
     assert Rat(1, 3) < s.y.lo < s.y.hi < Rat(1, 2)
+
+
+# -- integer closed forms against the interval chains they replace -------------
+
+
+def ref_exp_neg(b, digits):
+    """exp(-b) as the b-th power of the 1/e bracket, rounded out by IntervalValue."""
+    k = digits + poisson._digits_of_magnitude(b) + 10
+    return ref_power(intervals.exp_neg1_enclosure(terms_for_digits(digits)), b, k)
+
+
+@functools.lru_cache(maxsize=None)
+def ref_power(bracket, b, k):
+    # keyed by the bracket itself, so a monkeypatched 1/e bracket misses the cache
+    return (bracket ** b).round_out(k)
+
+
+def ref_y(b, policy):
+    target = Rat(1, 10**policy.digits)
+    s, t = tail_weight(b), pmf_weight(b)
+    for digits in policy.escalation_digits():
+        e = ref_exp_neg(b, digits)
+        y = ((Rat(1, 2) - s * e) / (t * e)).round_out(digits)
+        if y.width() <= target:
+            return y
+    raise PrecisionError(f"y enclosure for b={b} did not reach width {target}")
+
+
+def ref_alpha_beta(b, policy, y_of=ref_y):
+    last_exc = None
+    for digits in policy.escalation_digits():
+        y = y_of(b, PrecisionPolicy(digits=digits, max_escalations=1))
+        try:
+            alpha = 4 / ((y - Rat(1, 3)) * 135) - b
+            squared = 8 / ((Rat(4, 135 * b) + Rat(1, 3) - y) * 2835)
+        except ZeroDivisionError as exc:
+            last_exc = exc
+            continue
+        if not squared.lo > 0:
+            last_exc = None
+            continue
+        root = IntervalValue(sqrt_enclosure(squared.lo, digits).lo,
+                             sqrt_enclosure(squared.hi, digits).hi)
+        return y, alpha.round_out(digits), (root - b).round_out(digits)
+    raise PrecisionError(f"alpha/beta for b={b}: denominator stayed inconclusive") from last_exc
+
+
+def ref_truncated_moment(b, k, which, policy):
+    weight = sum(Rat(b**i, math.factorial(i)) * (b - i) ** k * (i if which == "h2" else 1)
+                 for i in range(b))
+    return (weight * ref_exp_neg(b, policy.digits)).round_out(policy.digits)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the types of the exception it raises and of that one's cause."""
+    try:
+        return fn(*args)
+    except (PrecisionError, ZeroDivisionError) as exc:
+        return type(exc), type(exc.__cause__)
+
+
+ORACLE_POLICIES = [(30, 4), (31, 1), (50, 2), (60, 4)]
+
+
+@pytest.mark.parametrize("digits,escalations", ORACLE_POLICIES)
+def test_closed_forms_match_the_interval_chains(digits, escalations):
+    policy = PrecisionPolicy(digits=digits, max_escalations=escalations)
+    escalated = []
+    for b in range(1, 301):
+        k = digits + poisson._digits_of_magnitude(b) + 10
+        assert exp_neg_enclosure(b, terms_for_digits(digits), k) == ref_exp_neg(b, digits), b
+        y = outcome(y_poisson, b, policy)
+        assert y == outcome(ref_y, b, policy), b
+        assert outcome(alpha_beta, b, policy) == outcome(ref_alpha_beta, b, policy), b
+        if isinstance(y, IntervalValue) and y.lo.denominator > 10**digits:
+            escalated.append(b)
+    for k, which in ((1, "h1"), (2, "h2")):
+        for b in range(1, 301, 7):
+            assert (truncated_moment(b, k, which, policy)
+                    == ref_truncated_moment(b, k, which, policy)), (b, k, which)
+    if (digits, escalations) == (30, 4):
+        # y's own escalation, read by alpha_beta on the finer grid
+        assert escalated[:3] == [161, 164, 173]
+
+
+@pytest.mark.parametrize("b,bracket", [
+    (1, (Rat(1, 3), Rat(3, 5))),  # wide: 1/2 - s e_hi < 0, y_poisson gives up
+    (2, (Rat(9, 20), Rat(1, 2))),  # wide: both ends of 1/2 - s e negative
+    (1, (Rat(1, 2) - Rat(1, 10**90), Rat(1, 2) + Rat(1, 10**90))),  # y straddles 0
+    (1, (Rat(11, 20), Rat(11, 20) + Rat(1, 10**90))),  # y < 0 throughout
+    (3, (Rat(1, 2) - Rat(1, 10**90), Rat(1, 2))),  # 1/2 - s e < 0 throughout
+])
+def test_closed_forms_match_on_a_wrong_bracket(monkeypatch, b, bracket):
+    monkeypatch.setattr(intervals, "exp_neg1_enclosure", lambda terms: IntervalValue(*bracket))
+    policy = PrecisionPolicy(digits=30, max_escalations=2)
+    assert outcome(y_poisson, b, policy) == outcome(ref_y, b, policy)
+    assert outcome(alpha_beta, b, policy) == outcome(ref_alpha_beta, b, policy)
+
+
+@pytest.mark.parametrize("b,y", [
+    (5, (Rat(1, 3) - Rat(1, 10**20), Rat(1, 3) + Rat(1, 10**20))),  # X straddles 0
+    (5, (Rat(2, 10), Rat(21, 100))),  # X < 0: alpha below -b
+    (5, (Rat(3392, 10**4), Rat(3393, 10**4))),  # Z straddles 0: 4/675 + 1/3 = 0.339259...
+    (5, (Rat(35, 100), Rat(36, 100))),  # Z < 0: squared.lo < 0
+    (2, (Rat(340, 10**3), Rat(341, 10**3))),  # X, Z > 0 below 4/270 + 1/3, away from y(2)
+])
+def test_alpha_beta_branches_match_the_chain(monkeypatch, b, y):
+    def fake_y(b, policy):
+        return IntervalValue(*y)
+
+    monkeypatch.setattr(poisson, "y_poisson", fake_y)
+    policy = PrecisionPolicy(digits=30, max_escalations=2)
+    assert outcome(alpha_beta, b, policy) == outcome(ref_alpha_beta, b, policy, fake_y)
