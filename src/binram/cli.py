@@ -79,7 +79,7 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: expected P/Q") from exc
 
 
-def _add_common(sub, *, n_max=None, b_max=None, digits=None, workers=False, grid=False):
+def _add_common(sub, *, n_max=None, b_max=None, digits=None, workers=False):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", metavar="PATH", default=None)
     if n_max is not None:
@@ -90,8 +90,6 @@ def _add_common(sub, *, n_max=None, b_max=None, digits=None, workers=False, grid
         sub.add_argument("--digits", type=int, default=digits)
     if workers:
         sub.add_argument("--workers", type=int, default=1)
-    if grid:
-        sub.add_argument("--grid-step", type=_rational, default=Rat(1, 20))
 
 
 def build_parser() -> _Parser:
@@ -114,15 +112,20 @@ def build_parser() -> _Parser:
     _add_common(subs.add_parser("poisson", help="rigorous Poisson enclosures"),
                 b_max=300, digits=30)
     cert = subs.add_parser("certify", help="finite-range inequality certificates")
-    cert.add_argument("target", choices=("appendix-b", "appendix-c", "root-bounds",
-                                         "exp-bounds", "z-lowerbound"))
-    _add_common(cert, n_max=2000, b_max=None)
+    cert_targets = cert.add_subparsers(dest="target", required=True)
+    for target in ("appendix-b", "appendix-c", "root-bounds"):
+        _add_common(cert_targets.add_parser(target))
+    for target in ("exp-bounds", "z-lowerbound"):
+        _add_common(cert_targets.add_parser(target), n_max=2000)
     sd = subs.add_parser("smalldev", help="small-deviation reductions")
-    sd.add_argument("target", choices=("samuels", "conjecture", "monotonicity"))
-    sd.add_argument("--c", type=_rational, default=Rat(1),
-                    help="shift parameter for monotonicity")
-    sd.add_argument("--n-max", type=int, default=None)
-    _add_common(sd, grid=True)
+    sd_targets = sd.add_subparsers(dest="target", required=True)
+    _add_common(sd_targets.add_parser("samuels"), n_max=200)
+    conj = sd_targets.add_parser("conjecture")
+    conj.add_argument("--grid-step", type=_rational, default=Rat(1, 20))
+    _add_common(conj, n_max=20)
+    mono = sd_targets.add_parser("monotonicity")
+    mono.add_argument("--c", type=_rational, default=Rat(1), help="shift parameter")
+    _add_common(mono, n_max=100)
     merge = subs.add_parser("report-merge", help="merge JSON reports deterministically")
     merge.add_argument("inputs", nargs="+", metavar="REPORT.json")
     _add_common(merge)
@@ -131,9 +134,10 @@ def build_parser() -> _Parser:
 
 def _apply_config(parser: _Parser, argv: list) -> argparse.Namespace:
     """Parse, then parse again with the --config key=value pairs as defaults of
-    the subcommand's options: a flag given on the command line, in any form
-    argparse accepts, still wins, and argparse converts each value it uses with
-    the option's declared type, as it would the flag."""
+    the options of the leaf parser (the subcommand's, or its target's): a flag
+    given on the command line, in any form argparse accepts, still wins, and
+    argparse converts each value it uses with the option's declared type, as
+    it would the flag.  A key the leaf does not declare is ignored."""
     args = parser.parse_args(argv)
     if not args.config:
         return args
@@ -143,6 +147,7 @@ def _apply_config(parser: _Parser, argv: list) -> argparse.Namespace:
     except OSError as exc:
         parser.error(f"cannot read config {args.config}: {exc}")
     sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    sub = next((a.choices[args.target] for a in sub._actions if a.dest == "target"), sub)
     options = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
     defaults = {}
     for raw in lines:
@@ -245,6 +250,8 @@ _VERIFY_SUITES = {  # each claim's suite at the CLI's clamps
 
 def cmd_verify(args) -> int:
     claims = [c.strip() for c in args.claims.split(",") if c.strip()]
+    if not claims:
+        raise DomainError(f"--claims {args.claims!r} is an empty claim list")
     report = Report(meta=_meta(args, claims=claims, n_max=args.n_max), header=CSV_HEADER)
     for claim in claims:
         if claim not in _VERIFY_SUITES:
@@ -276,30 +283,25 @@ def cmd_poisson(args) -> int:
 # -- certify ----------------------------------------------------------------------
 
 
-def _certificate_report(args, certs) -> Report:
-    report = Report(meta=_meta(args, target=args.target), header=CSV_HEADER)
-    for cert in certs:
-        report.results.append([cert.claim_id, cert.range.b_lo, cert.range.n_hi,
-                               cert.status, cert.range.describe(), "", "", ""])
-        report.violations.extend(cert.witnesses)
-    return report
+_CERTIFY = {  # each target's certificates; the checks are module globals, read per call
+    "appendix-b": lambda args: [check_boundary_cases()],
+    "appendix-c": lambda args: [check_small_b(), check_medium(), check_above_half(),
+                                check_r_positivity()],
+    "root-bounds": lambda args: [check_root_bounds()],
+    "exp-bounds": lambda args: [check_exp_bounds(n_max=args.n_max)],
+    "z-lowerbound": lambda args: [check_z_lowerbound(n_max=args.n_max)],
+}
 
 
 def cmd_certify(args) -> int:
-    if args.target == "appendix-b":
-        certs = [check_boundary_cases()]
-    elif args.target == "appendix-c":
-        certs = [check_small_b(), check_medium(), check_above_half(),
-                 check_r_positivity()]
-    elif args.target == "root-bounds":
-        certs = [check_root_bounds()]
-    elif args.n_max > 2000:  # the two scans below, exact up to n_max
+    if getattr(args, "n_max", 0) > 2000:  # only the two exact scans take --n-max
         raise ResourceError(f"certify {args.target} is exact and guarded at --n-max <= 2000")
-    elif args.target == "exp-bounds":
-        certs = [check_exp_bounds(n_max=args.n_max)]
-    else:  # z-lowerbound
-        certs = [check_z_lowerbound(n_max=args.n_max)]
-    return _emit(_certificate_report(args, certs), args)
+    report = Report(meta=_meta(args, target=args.target), header=CSV_HEADER)
+    for cert in _CERTIFY[args.target](args):
+        report.results.append([cert.claim_id, cert.range.b_lo, cert.range.n_hi,
+                               cert.status, cert.range.describe(), "", "", ""])
+        report.violations.extend(cert.witnesses)
+    return _emit(report, args)
 
 
 # -- smalldev ----------------------------------------------------------------------
@@ -308,13 +310,11 @@ def cmd_certify(args) -> int:
 def cmd_smalldev(args) -> int:
     report = Report(meta=_meta(args, target=args.target), header=CSV_HEADER)
     if args.target == "samuels":
-        n_max = 200 if args.n_max is None else args.n_max
-        report.violations.extend(verify_samuels(n_max))
-        report.results.append(["samuels", 2, n_max, "scanned", "", "", "", ""])
+        report.violations.extend(verify_samuels(args.n_max))
+        report.results.append(["samuels", 2, args.n_max, "scanned", "", "", "", ""])
     elif args.target == "conjecture":
-        n_max = 20 if args.n_max is None else args.n_max
-        conjecture_grid(n_max, args.grid_step)  # the guards, before the first row
-        for n in range(2, n_max + 1):
+        conjecture_grid(args.n_max, args.grid_step)  # the guards, before the first row
+        for n in range(2, args.n_max + 1):
             result = conjecture_scan(n, args.grid_step)
             report.violations.extend(result.violations)
             report.results.append([
@@ -322,10 +322,9 @@ def cmd_smalldev(args) -> int:
                 f"witnesses={len(result.equality_witnesses)}",
                 f"degenerate={result.degenerate_points}", "", "", ""])
     else:  # monotonicity: recorded signs, decreases listed but not violations
-        n_max = 100 if args.n_max is None else args.n_max
-        signs, decreases = tilde_p_monotonicity_scan(args.c, n_max)
+        signs, decreases = tilde_p_monotonicity_scan(args.c, args.n_max)
         increases = sum(1 for v in signs.values() if v > 0)
-        report.results.append(["tilde-p-monotone", 1, n_max,
+        report.results.append(["tilde-p-monotone", 1, args.n_max,
                                f"increases={increases}",
                                f"decreases={len(decreases)}",
                                f"points={len(signs)}", "", ""])

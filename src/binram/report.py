@@ -106,12 +106,18 @@ class Report:
         return self.to_csv() if fmt == "csv" else self.to_json()
 
     def write(self, path: str, fmt: str = "csv") -> None:
-        """Atomic write: render fully, write to a sibling temp file, rename."""
+        """Atomic write: render fully, write to a sibling temp file, rename.
+        If the write or the rename fails, the temp file is removed."""
         payload = self.render(fmt)
         tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def read(cls, path: str) -> "Report":

@@ -128,6 +128,29 @@ def test_non_positive_grid_step_is_a_usage_error(step, capsys):
     assert captured.err == "binram: grid_step must be > 0\n"
 
 
+@pytest.mark.parametrize("command,target,flag,check", [
+    ("certify", "appendix-b", ["--n-max", "3"], "check_boundary_cases"),
+    ("certify", "appendix-c", ["--n-max", "3"], "check_small_b"),
+    ("certify", "root-bounds", ["--n-max", "3"], "check_root_bounds"),
+    ("smalldev", "samuels", ["--c", "0"], "verify_samuels"),
+    ("smalldev", "samuels", ["--grid-step", "1/3"], "verify_samuels"),
+    ("smalldev", "conjecture", ["--c", "0"], "conjecture_scan"),
+    ("smalldev", "monotonicity", ["--grid-step", "1/3"], "tilde_p_monotonicity_scan"),
+])
+def test_flags_a_target_does_not_read_are_usage_errors(command, target, flag, check,
+                                                       monkeypatch, capsys):
+    called = []
+    monkeypatch.setattr(cli, check, lambda *a, **k: called.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, *flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == ""
+    assert captured.err.endswith(f"binram: error: unrecognized arguments: {' '.join(flag)}\n")
+    assert "Traceback" not in captured.err
+    assert called == []
+
+
 def test_conjecture_guard_trips_before_the_first_row(monkeypatch, capsys):
     scanned = []
     monkeypatch.setattr(cli, "conjecture_scan", lambda n, step: scanned.append(n))
@@ -139,8 +162,10 @@ def test_conjecture_guard_trips_before_the_first_row(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["smalldev", "monotonicity", "--c", "1/0"], "binram smalldev: error: argument --c: "),
+    (["smalldev", "monotonicity", "--c", "1/0"],
+     "binram smalldev monotonicity: error: argument --c: "),
     (["verify", "--claims", "1,1"], "binram: claim '1' listed more than once"),
+    (["verify", "--claims", ","], "binram: --claims ',' is an empty claim list"),
 ])
 def test_zero_denominator_and_repeated_claim_are_usage_errors(argv, message):
     """Run as a process, so that a traceback would show on stderr."""
@@ -197,6 +222,17 @@ def test_byte_identical_reruns(capsys):
     (["poisson"], 0, "9ad080fd4a00861a538ed9cb8d9fb2f650d316dd1cfead4b98a7ca97db2681a8"),
     (["poisson", "--b-max", "200", "--digits", "31", "--format", "json"], 0,
      "e05e41aee6e3a6f5c9bfd84f0e6c5f3dc7929d73d6d7d49307c2af6768354419"),
+    (["certify", "root-bounds"], 0,
+     "6550be600e3f941f1548784eff032d3151035515a3b62db7183076d96a3a0b83"),
+    (["certify", "exp-bounds", "--n-max", "600"], 0,
+     "8c781e44724d9e11e99e88c831cf71e35e2c6ed24db35e72a8b32cc592c031a7"),
+    # the smalldev targets at their own defaults
+    (["smalldev", "samuels"], 0,
+     "75e65f730368df9bf042074ec5a6042d962191d35cb2acf723fb7c85450f2604"),
+    (["smalldev", "conjecture"], 0,
+     "a475aedc8bea56480d78cbd1507adc3381886d20d07fbd6913459b27fc85b745"),
+    (["smalldev", "monotonicity"], 0,
+     "76416c6a19d9837fde9365080fc969782e668a88cdc58f1ae84b1375d4d78c19"),
 ])
 def test_pinned_report_digests(argv, code, digest, capsys):
     """CSV reports carry no backend name, so these digests hold on both
@@ -268,17 +304,18 @@ def test_config_supplies_defaults_and_flags_override(tmp_path, capsys):
 
 
 def test_config_values_take_the_option_type(tmp_path, capsys):
-    # smalldev's --n-max defaults to None; a config value for it must still be
-    # converted with the option's declared type
+    # a config value lands on the target's own parser and is converted with the
+    # option's declared type; samuels takes no --grid-step, so that key is ignored
     cfg = tmp_path / "binram.cfg"
     cfg.write_text("n-max = 30\ngrid-step = 1/10\n")
     via_config = run_cli(["--config", str(cfg), "smalldev", "samuels"], capsys)
     assert via_config == run_cli(["smalldev", "samuels", "--n-max", "30"], capsys)
     assert via_config[0] == 0 and "samuels,2,30,scanned" in via_config[1]
-    for bad in ("n-max = thirty", "grid-step = a/b", "format = xml"):
+    for bad, target in (("n-max = thirty", "samuels"), ("grid-step = a/b", "conjecture"),
+                        ("format = xml", "samuels")):
         cfg.write_text(bad + "\n")
         with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "smalldev", "samuels"])
+            main(["--config", str(cfg), "smalldev", target])
         assert exc.value.code == 64, bad
 
 

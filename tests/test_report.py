@@ -58,6 +58,14 @@ def test_atomic_write(tmp_path):
     assert list(tmp_path.iterdir()) == [target]  # no stray temp file
 
 
+def test_failed_rename_removes_the_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # a file cannot replace a directory
+    with pytest.raises(OSError):
+        make_report([["c", 1, 2, 1]]).write(str(target), "csv")
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_merge_sorts_and_counts():
     a = make_report([["c", 2, 9, 1]], inconclusive=1)
     b = make_report([["c", 1, 3, -1]])
