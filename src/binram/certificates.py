@@ -18,7 +18,6 @@ derivatives of every order at the range top stays positive to the right.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import kernel, poisson
@@ -299,55 +298,50 @@ def z_diff_lower_bound(b: int, n: int):
     return Rat(n**n, (n - b) * (b + 1) ** b * m ** (m)) * bracket
 
 
-def _z_bound_gap(b: int, n: int, s_n: int, p: int, q: int, head: tuple, head1: tuple) -> int:
+def _z_bound_gap(b: int, n: int, s_n: int, p: int, q: int, head: tuple, t1: int) -> int:
     """An integer with the sign of z_diff_lower_bound(b, n) - (z(b+1, n) - z(b, n)),
     for 1 <= b <= (n-1)/2: the bound holds at (b, n) iff it is <= 0.  The
-    inputs are s_n = n**n, p = (n-b)**(n-b), q = m**m with m = n-b-1, and the
-    kernel heads head = (A, t) and head1 = (A1, t1) of
-    exactcore.tail_pmf_head(n, c, c, n) at c = b and b+1.
+    inputs are s_n = n**n, p = (n-b)**(n-b), q = m**m with m = n-b-1, the
+    head (A, t) of exactcore.tail_pmf_head(n, b, b, n), and the t of that
+    head at b+1, t1 = C(n, b+1) (b+1)**(b+1) = C(n, b) (m+1) (b+1)**b.
 
     Proof.  The domain gives m >= b >= 1, so every factor cleared below is a
-    positive integer.  From the head, P(X < b) = A p / s_n and
-    P(X = b) = t p / s_n, so z(b, n) = (s_n/p - 2A) / (2t); likewise
-    z(b+1, n) = (s_n/q - 2A1) / (2t1), as (n-b-1)**(n-b-1) = q.  Hence
+    positive integer.  For X ~ Bin(n, b/n) the head gives P(X < b) = A p / s_n
+    and P(X = b) = t p / s_n, so z(b, n) = (s_n - 2 A p) / (2 t p); likewise
+    z(b+1, n) = (s_n - 2 A1 q) / (2 t1 q) from the head (A1, t1) at b+1.
 
-        2 t t1 p q (z(b+1, n) - z(b, n)) = t s_n p - t1 s_n q + 2 (t1 A - t A1) p q.
+    The kernel g(y) = y**(n-b) (1-y)**(b-1) integrates to a binomial tail,
 
-    In the bound, x**b (m/n)**(n-b) = (b+1)**b m q / s_n, so its second term
-    times the prefactor s_n / ((m+1) (b+1)**b q) is m F / (m+1), with
-    F = F_num / F_den the bracketed factor over F_den = 18 (b+1)**2 m**2.  The
-    cell integral is G = [hi (m+1) p - lo m**2 q] / (L s_n), with
-    L = lcm(n-b+1, ..., n) and hi, lo the kernel.integral_sum at (n-b)/n and
-    m/n, since (n-b)**(n-b+1) = (m+1) p and m**(n-b+1) = m**2 q.  So
+        int_0^y g = B P(Bin(n, 1-y) < b),    B = (b-1)! (n-b)! / n!,
 
-        bound = b [hi (m+1) p - lo m**2 q] / (L (m+1) (b+1)**b q) - m F_num / ((m+1) F_den).
+    as both sides vanish at y = 0 and the right side's derivative telescopes
+    to B n C(n-1, b-1) y**(n-b) (1-y)**(b-1) = g(y): b-1 integrations by parts
+    of the beta integral, read backwards (claim 1's identity 1, which
+    kernel.verify_claim1 checks).  The tail is A p / s_n at y = (m+1)/n, and
+    at y = m/n it is P(Bin(n, (b+1)/n) < b+1) less the mass at b,
+    (A1 q - t1 m q / (m+1)) / s_n.  So the cell integral is
+    G = B (A p - A1 q + t1 m q / (m+1)) / s_n.
 
-    Multiply bound - difference by 2 t t1 p q gamma > 0, with
-    gamma = L (m+1) (b+1)**b F_den: every denominator clears, and the gap
-    returned is the integer
+    The bound's prefactor is s_n / ((m+1) (b+1)**b q), and b B = 1 / C(n, b),
+    so its integral term is A p / (t1 q) - A1 / t1 + m / (m+1).  As
+    x**b (m/n)**(n-b) = (b+1)**b m q / s_n, its second term is m F / (m+1),
+    with F = F_num / F_den the bracketed factor over F_den = 18 (b+1)**2 m**2.
+    A1 cancels against the difference, which leaves
 
-        (bound - difference) 2 t t1 p q gamma = p X + gamma t1 s_n q,
-        X = 2 t t1 [b F_den (hi (m+1) p - lo m**2 q) - m F_num L (b+1)**b q]
-            + gamma [2 (t A1 - t1 A) q - t s_n],
+        bound - difference = z(b, n) (1 - t p / (t1 q)) + m (1 - F) / (m+1).
 
-    with X linear in p, q and s_n.  That leaves two big products, p X and
-    s_n q.
+    Times 2 t t1 p q (m+1) F_den > 0, that is the integer returned,
+
+        (m+1) F_den u w + 2 m (F_den - F_num) t t1 (p q),
+        u = s_n - 2 A p,   w = t1 q - t p.
     """
-    (a0, t0), (a1, t1) = head, head1
+    a, t = head
     m = n - b - 1
-    lcm = math.lcm(*range(m + 2, n + 1))
-    hi = kernel.integral_sum(b, n, m + 1, n, lcm)
-    lo = kernel.integral_sum(b, n, m, n, lcm)
     f_den = 18 * (b + 1) ** 2 * m**2
     f_num = f_den - 3 * (b + 1) * m**2 - m**2 + 3 * (b + 1) ** 2 * m + 3 * (b + 1) ** 2
-    c = lcm * (b + 1) ** b
-    gamma = c * (m + 1) * f_den
-    tt = 2 * t0 * t1
-    # X with its small coefficients formed first: three big-by-small products
-    x = (tt * b * f_den * (m + 1) * hi * p
-         - (tt * (b * f_den * m**2 * lo + m * f_num * c) + 2 * gamma * (t1 * a0 - t0 * a1)) * q
-         - gamma * t0 * s_n)
-    return p * x + gamma * t1 * s_n * q
+    u = s_n - 2 * a * p
+    w = t1 * q - t * p
+    return (m + 1) * f_den * u * w + 2 * m * (f_den - f_num) * t * t1 * (p * q)
 
 
 def check_z_lowerbound(
@@ -379,8 +373,8 @@ def check_z_lowerbound(
         heads = [tail_pmf_head(n, b, b, n) for b in range(b_lo, top + 2)]
         s_n = n**n
         for b in range(b_lo, top + 1):
-            head, head1 = heads[b - b_lo], heads[b - b_lo + 1]
-            if _z_bound_gap(b, n, s_n, powers[n - b], powers[n - b - 1], head, head1) > 0:
+            t1 = heads[b - b_lo + 1][1]
+            if _z_bound_gap(b, n, s_n, powers[n - b], powers[n - b - 1], heads[b - b_lo], t1) > 0:
                 last_fail[b] = n  # must hold contiguously up to n_max
     thresholds = {b: n + 1 if n < n_max else None for b, n in last_fail.items()}
     for b, first_good in thresholds.items():
@@ -392,7 +386,7 @@ def check_z_lowerbound(
     for n in range(2 * b_lo + 3, diag_n_max + 1, 2):
         b = (n - 1) // 2
         diag[n] = _z_bound_gap(b, n, n**n, (b + 1) ** (b + 1), b**b, tail_pmf_head(n, b, b, n),
-                               tail_pmf_head(n, b + 1, b + 1, n)) <= 0
+                               tail_pmf_head(n, b + 1, b + 1, n)[1]) <= 0
     cert.extra["thresholds"] = thresholds
     cert.extra["diagonal_holds"] = diag
     return cert.finish()

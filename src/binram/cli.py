@@ -65,11 +65,24 @@ def __getattr__(name):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the BSD usage exit code instead of 2."""
+    """argparse with the BSD usage exit code instead of 2, and a flag that the
+    leaf parser does not declare reported by that leaf, so that its usage line
+    shows the flags it does take."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def leaf(self, args: argparse.Namespace) -> "_Parser":
+        """The parser of the parsed subcommand, or of its target if it has one."""
+        subs = [a for a in self._actions if isinstance(a, argparse._SubParsersAction)]
+        return subs[0].choices[getattr(args, subs[0].dest)].leaf(args) if subs else self
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.leaf(args).error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
 
 
 def _rational(text: str):
@@ -146,8 +159,7 @@ def _apply_config(parser: _Parser, argv: list) -> argparse.Namespace:
             lines = fh.read().splitlines()
     except OSError as exc:
         parser.error(f"cannot read config {args.config}: {exc}")
-    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
-    sub = next((a.choices[args.target] for a in sub._actions if a.dest == "target"), sub)
+    sub = parser.leaf(args)
     options = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
     defaults = {}
     for raw in lines:
@@ -249,6 +261,8 @@ _VERIFY_SUITES = {  # each claim's suite at the CLI's clamps
 
 
 def cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
     claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     if not claims:
         raise DomainError(f"--claims {args.claims!r} is an empty claim list")

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .backend import as_rat, decimal_str, rat_str
 
@@ -51,16 +51,7 @@ class ViolationReport:
                 self.raw_lhs, self.raw_rhs, self.note]
 
     def as_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "b": self.b,
-            "n": self.n,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "raw_lhs": self.raw_lhs,
-            "raw_rhs": self.raw_rhs,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -190,28 +190,47 @@ def test_z_lowerbound_is_a_true_lower_bound():
 
 def _gap_at(b, n):
     """certificates._z_bound_gap(b, n) with its inputs built directly, and the
-    positive factor 2 t t1 p q gamma that clears the denominators of its proof."""
-    head, head1 = tail_pmf_head(n, b, b, n), tail_pmf_head(n, b + 1, b + 1, n)
+    positive factor 2 t t1 p q (m+1) F_den that clears the denominators of its proof."""
+    head, (_, t1) = tail_pmf_head(n, b, b, n), tail_pmf_head(n, b + 1, b + 1, n)
     m = n - b - 1
     p, q = (m + 1) ** (m + 1), m**m
-    gamma = math.lcm(*range(n - b + 1, n + 1)) * (m + 1) * (b + 1) ** b * 18 * (b + 1) ** 2 * m**2
-    return _z_bound_gap(b, n, n**n, p, q, head, head1), 2 * head[1] * head1[1] * p * q * gamma
+    f_den = 18 * (b + 1) ** 2 * m**2
+    return _z_bound_gap(b, n, n**n, p, q, head, t1), 2 * head[1] * t1 * p * q * (m + 1) * f_den
 
 
 def test_z_bound_gap_is_the_cleared_rational_gap():
     """The integer gap is (bound - difference) times a positive factor, so its
-    sign decides bound <= difference exactly: at every point with n <= 80 and
-    at 300 seeded points with 6 <= b <= 40, n <= 400."""
+    sign decides bound <= difference exactly: at every point with n <= 80, at
+    300 seeded points with 6 <= b <= 40, n <= 400, at 20 seeded points with
+    1000 <= n <= 2000, and on the diagonal b = (n-1)/2 at a few odd n <= 1001."""
     rng = random.Random(8)
     points = [(b, n) for n in range(3, 81) for b in range(1, (n - 1) // 2 + 1)]
     points += [(b, n) for n in (rng.randint(14, 400) for _ in range(300))
                for b in [rng.randint(6, min(40, (n - 1) // 2))]]
+    points += [(b, n) for n in (rng.randint(1000, 2000) for _ in range(20))
+               for b in [rng.randint(6, 40)]]
+    points += [((n - 1) // 2, n) for n in (201, 401, 601, 1001)]
     for b, n in points:
         bound = z_diff_lower_bound(b, n)
         diff = ramanujan_z(BinomialSpec(b + 1, n)) - ramanujan_z(BinomialSpec(b, n))
         gap, scale = _gap_at(b, n)
         assert (gap <= 0) == (bound <= diff), (b, n)
         assert Rat(gap, scale) == bound - diff, (b, n)
+
+
+def test_z_lowerbound_needs_only_the_tail_kernel(monkeypatch):
+    """The scan decides every point from the tail heads: with the integral
+    kernel and lcm made to raise, its thresholds and diagonal are unchanged."""
+    want = check_z_lowerbound(n_max=60)
+
+    def boom(*args):
+        raise AssertionError("the scan must not call the integral kernel")
+
+    monkeypatch.setattr(certificates.kernel, "integral_sum", boom)
+    monkeypatch.setattr(math, "lcm", boom)
+    got = check_z_lowerbound(n_max=60)
+    assert got.extra == want.extra
+    assert got.status == want.status == VERIFIED
 
 
 def _rat_scan(b_lo, b_hi, n_max, diag_n_max):

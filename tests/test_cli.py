@@ -97,6 +97,15 @@ def test_vacuous_runs_and_bad_workers_are_usage_errors(argv, capsys):
     assert captured.err.startswith("binram: ")
 
 
+def test_verify_n_max_one_still_covers_lemma1_at_b_one(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "moments_suite", lambda *a: pytest.fail("a suite ran"))
+    assert main(["verify", "--claims", "moments", "--n-max", "0"]) == 64  # before any suite
+    capsys.readouterr()
+    code, out = run_cli(["verify", "--claims", "lemma1", "--n-max", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["lemma1,1,1,ok,,,,"]
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"results": [], "violations": [{"claim_id": "x", "bogus": 1}]},
@@ -146,7 +155,11 @@ def test_flags_a_target_does_not_read_are_usage_errors(command, target, flag, ch
     captured = capsys.readouterr()
     assert exc.value.code == 64
     assert captured.out == ""
-    assert captured.err.endswith(f"binram: error: unrecognized arguments: {' '.join(flag)}\n")
+    usage, error = captured.err.split("\n", 1)
+    # the target's own usage line and prog name, not the top-level parser's
+    assert usage.startswith(f"usage: binram {command} {target} [-h]"), usage
+    assert error.endswith(f"binram {command} {target}: error: unrecognized arguments: "
+                          f"{' '.join(flag)}\n")
     assert "Traceback" not in captured.err
     assert called == []
 
@@ -166,6 +179,7 @@ def test_conjecture_guard_trips_before_the_first_row(monkeypatch, capsys):
      "binram smalldev monotonicity: error: argument --c: "),
     (["verify", "--claims", "1,1"], "binram: claim '1' listed more than once"),
     (["verify", "--claims", ","], "binram: --claims ',' is an empty claim list"),
+    (["verify", "--claims", "moments", "--n-max", "-7"], "binram: --n-max must be >= 1, got -7"),
 ])
 def test_zero_denominator_and_repeated_claim_are_usage_errors(argv, message):
     """Run as a process, so that a traceback would show on stderr."""
