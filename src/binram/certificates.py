@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 from . import kernel, poisson
 from .backend import Rat, decimal_str
-from .exactcore import BinomialSpec, DomainError, p_diff_sign, tail_numerator, tail_pmf_head
+from .exactcore import (EXACT_CUTOFF, BinomialSpec, DomainError, p_diff_sign, ramanujan_z,
+                        tail_numerator, tail_row)
 from .intervals import IntervalValue, e_enclosure, terms_for_digits
 from .report import Report, ViolationReport
 
@@ -250,7 +251,7 @@ def _exp_bounds_sides(n_max: int):
             yield (b, n, *_low_side(b, n, down_pow)[::-1], "high-side")
 
 
-def check_exp_bounds(n_max: int = 2000) -> InequalityCertificate:
+def check_exp_bounds(n_max: int = EXACT_CUTOFF) -> InequalityCertificate:
     """Transcendental-free forms of the two log bounds, exact big-integer
     comparisons:
 
@@ -298,50 +299,43 @@ def z_diff_lower_bound(b: int, n: int):
     return Rat(n**n, (n - b) * (b + 1) ** b * m ** (m)) * bracket
 
 
-def _z_bound_gap(b: int, n: int, s_n: int, p: int, q: int, head: tuple, t1: int) -> int:
+def _z_bound_gap(b: int, n: int, u: int, n_b: int, n_b1: int) -> int:
     """An integer with the sign of z_diff_lower_bound(b, n) - (z(b+1, n) - z(b, n)),
     for 1 <= b <= (n-1)/2: the bound holds at (b, n) iff it is <= 0.  The
-    inputs are s_n = n**n, p = (n-b)**(n-b), q = m**m with m = n-b-1, the
-    head (A, t) of exactcore.tail_pmf_head(n, b, b, n), and the t of that
-    head at b+1, t1 = C(n, b+1) (b+1)**(b+1) = C(n, b) (m+1) (b+1)**b.
+    inputs are the entries (u, n_b), (_, n_b1) of exactcore.tail_row(n, b, b+1):
+    with s = n**n and X_c ~ Bin(n, c/n), P(X_c < c) = T_c / s, P(X_c = c) = N_c / s,
+    u = s - 2 T_b and z(c, n) = (s - 2 T_c) / (2 N_c).
 
-    Proof.  The domain gives m >= b >= 1, so every factor cleared below is a
-    positive integer.  For X ~ Bin(n, b/n) the head gives P(X < b) = A p / s_n
-    and P(X = b) = t p / s_n, so z(b, n) = (s_n - 2 A p) / (2 t p); likewise
-    z(b+1, n) = (s_n - 2 A1 q) / (2 t1 q) from the head (A1, t1) at b+1.
-
-    The kernel g(y) = y**(n-b) (1-y)**(b-1) integrates to a binomial tail,
+    Proof.  Write m = n-b-1; the domain gives m >= b >= 1, so every factor
+    cleared below is positive.  The kernel g(y) = y**(n-b) (1-y)**(b-1)
+    integrates to a binomial tail,
 
         int_0^y g = B P(Bin(n, 1-y) < b),    B = (b-1)! (n-b)! / n!,
 
     as both sides vanish at y = 0 and the right side's derivative telescopes
     to B n C(n-1, b-1) y**(n-b) (1-y)**(b-1) = g(y): b-1 integrations by parts
     of the beta integral, read backwards (claim 1's identity 1, which
-    kernel.verify_claim1 checks).  The tail is A p / s_n at y = (m+1)/n, and
-    at y = m/n it is P(Bin(n, (b+1)/n) < b+1) less the mass at b,
-    (A1 q - t1 m q / (m+1)) / s_n.  So the cell integral is
-    G = B (A p - A1 q + t1 m q / (m+1)) / s_n.
+    kernel.verify_claim1 checks).  The tail is T_b / s at y = (m+1)/n; at
+    y = m/n it is T_{b+1} / s less the mass of X_{b+1} at b, m/(m+1) times its
+    mass N_{b+1} / s at b+1.  So the cell integral is
+    G = B (T_b - T_{b+1} + m N_{b+1} / (m+1)) / s.
 
-    The bound's prefactor is s_n / ((m+1) (b+1)**b q), and b B = 1 / C(n, b),
-    so its integral term is A p / (t1 q) - A1 / t1 + m / (m+1).  As
-    x**b (m/n)**(n-b) = (b+1)**b m q / s_n, its second term is m F / (m+1),
-    with F = F_num / F_den the bracketed factor over F_den = 18 (b+1)**2 m**2.
-    A1 cancels against the difference, which leaves
+    As N_{b+1} = C(n, b) (m+1) (b+1)**b m**m and b B = 1 / C(n, b), the bound's
+    prefactor s / ((m+1) (b+1)**b m**m) = s C(n, b) / N_{b+1} turns b G into
+    (T_b - T_{b+1}) / N_{b+1} + m / (m+1), and x**b (m/n)**(n-b) F into
+    m F / (m+1), with F = F_num / F_den the bracketed factor over
+    F_den = 18 (b+1)**2 m**2.  T_{b+1} cancels against the difference:
 
-        bound - difference = z(b, n) (1 - t p / (t1 q)) + m (1 - F) / (m+1).
+        bound - difference = u (N_{b+1} - N_b) / (2 N_b N_{b+1}) + m (1 - F) / (m+1).
 
-    Times 2 t t1 p q (m+1) F_den > 0, that is the integer returned,
+    Times 2 N_b N_{b+1} (m+1) F_den > 0, that is the integer returned,
 
-        (m+1) F_den u w + 2 m (F_den - F_num) t t1 (p q),
-        u = s_n - 2 A p,   w = t1 q - t p.
+        (m+1) F_den u (N_{b+1} - N_b) + 2 m (F_den - F_num) N_b N_{b+1}.
     """
-    a, t = head
     m = n - b - 1
     f_den = 18 * (b + 1) ** 2 * m**2
     f_num = f_den - 3 * (b + 1) * m**2 - m**2 + 3 * (b + 1) ** 2 * m + 3 * (b + 1) ** 2
-    u = s_n - 2 * a * p
-    w = t1 * q - t * p
-    return (m + 1) * f_den * u * w + 2 * m * (f_den - f_num) * t * t1 * (p * q)
+    return (m + 1) * f_den * u * (n_b1 - n_b) + 2 * m * (f_den - f_num) * n_b * n_b1
 
 
 def check_z_lowerbound(
@@ -351,14 +345,15 @@ def check_z_lowerbound(
     stays below the exact difference z(b+1,n) - z(b,n) through n_max.
 
     The underlying claim is asymptotic ('n large enough'), so small-n failures
-    are recorded as thresholds, not as violations; the certificate is violated
-    only if no threshold exists within the scanned range.  Each point is
-    decided by the sign of :func:`_z_bound_gap`.  The scan runs n by n, so
-    the heads of b_lo..b_hi+1 are built once per n, and each j**j once for
-    all the n that use it; witnesses carry the exact z_diff_lower_bound.
+    are recorded as thresholds, not as violations, and the status is decided
+    at n = n_max: a b lacks a threshold exactly when the bound fails there, and
+    is then a witness, the exact bound against the exact difference at n_max.
+    Each point is the sign of :func:`_z_bound_gap` on one exactcore.tail_row
+    per n (and one per diagonal point).  The thresholds and the diagonal map
+    stay in `extra`; the report carries only the status and the witnesses.
     """
-    if n_max > 2000:
-        raise DomainError("exact scan guarded at n <= 2000")
+    if n_max > EXACT_CUTOFF:
+        raise DomainError(f"exact scan guarded at n <= {EXACT_CUTOFF}")
     b_hi = min(b_hi, (n_max - 2) // 2)  # keep 2b+2 <= n_max
     diag_n_max = min(diag_n_max, n_max + 1)
     if b_hi < b_lo:
@@ -366,27 +361,24 @@ def check_z_lowerbound(
     rng = RangeSpec("z-lowerbound", b_lo, b_hi, 2 * b_lo + 2, n_max)
     cert = InequalityCertificate("eq-diff_z_bn_lowerbound", rng)
     last_fail = {b: 2 * b + 1 for b in range(b_lo, b_hi + 1)}  # last n that fails; 2b+1 if none
-    powers = {}  # j -> j**j, for the j the current n uses
     for n in range(2 * b_lo + 2, n_max + 1):
         top = min(b_hi, (n - 2) // 2)
-        powers = {j: powers.get(j) or j**j for j in range(n - top - 1, n - b_lo + 1)}
-        heads = [tail_pmf_head(n, b, b, n) for b in range(b_lo, top + 2)]
-        s_n = n**n
-        for b in range(b_lo, top + 1):
-            t1 = heads[b - b_lo + 1][1]
-            if _z_bound_gap(b, n, s_n, powers[n - b], powers[n - b - 1], heads[b - b_lo], t1) > 0:
+        row = tail_row(n, b_lo, top + 1)
+        for b, (u, n_b), (_, n_b1) in zip(range(b_lo, top + 1), row, row[1:]):
+            if _z_bound_gap(b, n, u, n_b, n_b1) > 0:
                 last_fail[b] = n  # must hold contiguously up to n_max
     thresholds = {b: n + 1 if n < n_max else None for b, n in last_fail.items()}
     for b, first_good in thresholds.items():
         if first_good is None:
-            cert.record_violation(b, n_max, z_diff_lower_bound(b, n_max), 0,
+            diff = ramanujan_z(BinomialSpec(b + 1, n_max)) - ramanujan_z(BinomialSpec(b, n_max))
+            cert.record_violation(b, n_max, z_diff_lower_bound(b, n_max), diff,
                                   note="no threshold within range")
     # the near-diagonal regime b = (n-1)//2
     diag = {}
     for n in range(2 * b_lo + 3, diag_n_max + 1, 2):
         b = (n - 1) // 2
-        diag[n] = _z_bound_gap(b, n, n**n, (b + 1) ** (b + 1), b**b, tail_pmf_head(n, b, b, n),
-                               tail_pmf_head(n, b + 1, b + 1, n)[1]) <= 0
+        (u, n_b), (_, n_b1) = tail_row(n, b, b + 1)
+        diag[n] = _z_bound_gap(b, n, u, n_b, n_b1) <= 0
     cert.extra["thresholds"] = thresholds
     cert.extra["diagonal_holds"] = diag
     return cert.finish()

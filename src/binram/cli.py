@@ -40,7 +40,7 @@ from .certificates import (
     poisson_suite,
     thm3_sign_suite,
 )
-from .exactcore import DomainError, p_diff_signs, z_diff_signs
+from .exactcore import EXACT_CUTOFF, DomainError, p_diff_signs, z_diff_signs
 from .highprec import theorem2_threshold
 from .kernel import ORACLE_MAX_N, ResourceError
 from .precision import PrecisionPolicy
@@ -67,16 +67,30 @@ def __getattr__(name):
 class _Parser(argparse.ArgumentParser):
     """argparse with the BSD usage exit code instead of 2, and a flag that the
     leaf parser does not declare reported by that leaf, so that its usage line
-    shows the flags it does take."""
+    shows the flags it does take.  A flag that comes before the subcommand or
+    target, and that this level does not declare, is named as misplaced."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _subs(self):  # the action choosing the subcommand or target; None on a leaf
+        return next((a for a in self._actions if isinstance(a, argparse._SubParsersAction)), None)
+
     def leaf(self, args: argparse.Namespace) -> "_Parser":
         """The parser of the parsed subcommand, or of its target if it has one."""
-        subs = [a for a in self._actions if isinstance(a, argparse._SubParsersAction)]
-        return subs[0].choices[getattr(args, subs[0].dest)].leaf(args) if subs else self
+        subs = self._subs()
+        return subs.choices[getattr(args, subs.dest)].leaf(args) if subs else self
+
+    def parse_known_args(self, args=None, namespace=None):
+        subs, declared = self._subs(), self._option_string_actions
+        for arg in sys.argv[1:] if args is None else args:
+            if subs is None or arg in subs.choices:
+                break
+            flag = arg.split("=", 1)[0]  # argparse also takes a unique prefix of a flag
+            if flag.startswith("-") and not any(o.startswith(flag) for o in declared):
+                self.error(f"{flag} comes before the {subs.dest}; flags go after the {subs.dest}")
+        return super().parse_known_args(args, namespace)
 
     def parse_args(self, args=None, namespace=None):
         args, extra = self.parse_known_args(args, namespace)
@@ -113,8 +127,8 @@ def build_parser() -> _Parser:
 
     _add_common(subs.add_parser("scan-p", help="exact tail-difference sign scan"),
                 n_max=300, workers=True)
-    _add_common(subs.add_parser("scan-z", help="exact z-difference sign map (n <= 2000)"),
-                n_max=300, workers=True)
+    scan_z = subs.add_parser("scan-z", help=f"exact z-difference sign map (n <= {EXACT_CUTOFF})")
+    _add_common(scan_z, n_max=300, workers=True)
     thr = subs.add_parser("threshold", help="locate the z sign-flip near sqrt(77n/360)")
     thr.add_argument("--n", type=int, required=True)
     _add_common(thr, digits=60)
@@ -129,7 +143,7 @@ def build_parser() -> _Parser:
     for target in ("appendix-b", "appendix-c", "root-bounds"):
         _add_common(cert_targets.add_parser(target))
     for target in ("exp-bounds", "z-lowerbound"):
-        _add_common(cert_targets.add_parser(target), n_max=2000)
+        _add_common(cert_targets.add_parser(target), n_max=EXACT_CUTOFF)
     sd = subs.add_parser("smalldev", help="small-deviation reductions")
     sd_targets = sd.add_subparsers(dest="target", required=True)
     _add_common(sd_targets.add_parser("samuels"), n_max=200)
@@ -224,8 +238,8 @@ def cmd_scan_p(args) -> int:
 
 
 def cmd_scan_z(args) -> int:
-    if args.n_max > 2000:
-        raise ResourceError("scan-z is exact and guarded at n <= 2000")
+    if args.n_max > EXACT_CUTOFF:
+        raise ResourceError(f"scan-z is exact and guarded at n <= {EXACT_CUTOFF}")
     report = Report(meta=_meta(args, n_max=args.n_max),
                     header=["claim_id", "b", "n", "sign"])
     for n, signs in _signs_by_n(z_diff_signs, args.n_max, args.workers):
@@ -308,8 +322,9 @@ _CERTIFY = {  # each target's certificates; the checks are module globals, read 
 
 
 def cmd_certify(args) -> int:
-    if getattr(args, "n_max", 0) > 2000:  # only the two exact scans take --n-max
-        raise ResourceError(f"certify {args.target} is exact and guarded at --n-max <= 2000")
+    if getattr(args, "n_max", 0) > EXACT_CUTOFF:  # only the two exact scans take --n-max
+        raise ResourceError(f"certify {args.target} is exact and guarded at "
+                            f"--n-max <= {EXACT_CUTOFF}")
     report = Report(meta=_meta(args, target=args.target), header=CSV_HEADER)
     for cert in _CERTIFY[args.target](args):
         report.results.append([cert.claim_id, cert.range.b_lo, cert.range.n_hi,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from .backend import Rat
 
+EXACT_CUTOFF = 2000  # the largest n of the exact scans; highprec.z_diff_sign is exact up to it
+
 
 class DomainError(ValueError):
     """Input outside an operation's stated domain."""
@@ -120,10 +122,11 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _tail_row(n: int, b_lo: int, b_hi: int, numerators=tail_pmf_numerators) -> list:
+def tail_row(n: int, b_lo: int, b_hi: int, numerators=tail_pmf_numerators) -> list:
     """Pairs (u_b, N_b), b = b_lo..b_hi, each from one kernel call: with
     (T_b, N_b) the numerators of P(X < b) and P(X = b) over n**n,
-    u_b = n**n - 2 T_b, so z_b = u_b / (2 N_b)."""
+    u_b = n**n - 2 T_b, so z_b = u_b / (2 N_b).  The one row that the tail-
+    and z-difference signs and certificates.check_z_lowerbound read."""
     scale = n**n
     return [(scale - 2 * t, pmf)
             for t, pmf in (numerators(n, b, b, n) for b in range(b_lo, b_hi + 1))]
@@ -132,14 +135,14 @@ def _tail_row(n: int, b_lo: int, b_hi: int, numerators=tail_pmf_numerators) -> l
 def _p_signs(n: int, b_lo: int, b_hi: int) -> list:
     """Signs for b = b_lo..b_hi from the row b_lo..b_hi+1: T_{b+1} - T_b has
     the sign of u_b - u_{b+1}."""
-    row = _tail_row(n, b_lo, b_hi + 1)
+    row = tail_row(n, b_lo, b_hi + 1)
     return [_sign(u0 - u1) for (u0, _), (u1, _) in zip(row, row[1:])]
 
 
 def _z_signs(n: int, b_lo: int, b_hi: int) -> list:
     """Signs for b = b_lo..b_hi from the row b_lo..b_hi+1: as N_b > 0,
     z_{b+1} - z_b has the sign of u_{b+1} N_b - u_b N_{b+1}."""
-    row = _tail_row(n, b_lo, b_hi + 1)
+    row = tail_row(n, b_lo, b_hi + 1)
     return [_sign(u1 * m0 - u0 * m1) for (u0, m0), (u1, m1) in zip(row, row[1:])]
 
 
@@ -201,5 +204,5 @@ def z_symmetry_row(n: int) -> list:
     side is the complement identity itself, so reading it for b > n/2 would
     make the check hold by construction."""
     _check_pair(1, n)
-    row = _tail_row(n, 1, n - 1, _long_side)
+    row = tail_row(n, 1, n - 1, _long_side)
     return [u * m_r + u_r * m == 2 * m * m_r for (u, m), (u_r, m_r) in zip(row, reversed(row))]

@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass, field
 
 from .backend import Rat
-from .exactcore import BinomialSpec, DomainError, tail_pmf_head, z_diff_sign_exact
+from .exactcore import EXACT_CUTOFF, BinomialSpec, DomainError, tail_pmf_head, z_diff_sign_exact
 from .intervals import IntervalValue, power_enclosure
 from .precision import DEFAULT_POLICY, PrecisionError, PrecisionPolicy
 
-EXACT_CUTOFF = 2000  # big-rational evaluation stays sub-second below this n
 GUARD_BITS = 4
 
 INCONCLUSIVE = "inconclusive"

@@ -35,16 +35,8 @@ class ViolationReport:
     @classmethod
     def from_rationals(cls, claim_id, b, n, lhs, rhs, note="") -> "ViolationReport":
         lhs, rhs = as_rat(lhs), as_rat(rhs)
-        return cls(
-            claim_id=claim_id,
-            b=b,
-            n=n,
-            lhs=decimal_str(lhs),
-            rhs=decimal_str(rhs),
-            raw_lhs=rat_str(lhs),
-            raw_rhs=rat_str(rhs),
-            note=note,
-        )
+        return cls(claim_id, b, n, decimal_str(lhs), decimal_str(rhs), rat_str(lhs), rat_str(rhs),
+                   note)
 
     def as_row(self) -> list:
         return ["violation", self.claim_id, self.b, self.n, self.lhs, self.rhs,
@@ -65,23 +57,17 @@ class Report:
     inconclusive: int = 0
 
     def exit_code(self) -> int:
-        if self.violations:
-            return 1
-        if self.inconclusive:
-            return 2
-        return 0
+        return 1 if self.violations else 2 if self.inconclusive else 0
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.header)
-        for row in self.results:
-            writer.writerow(row)
+        writer.writerows(self.results)
         if self.violations:
             writer.writerow([])
             writer.writerow(["violation"] + CSV_HEADER + ["note"])
-            for v in self.violations:
-                writer.writerow(v.as_row())
+            writer.writerows(v.as_row() for v in self.violations)
         return buf.getvalue()
 
     def to_json(self) -> str:

@@ -28,7 +28,7 @@ from binram.certificates import (
     thm3_sign_suite,
     z_diff_lower_bound,
 )
-from binram.exactcore import BinomialSpec, DomainError, ramanujan_z, tail_pmf_head
+from binram.exactcore import BinomialSpec, DomainError, ramanujan_z, tail_pmf_numerators
 from binram.kernel import eval_P
 from binram.report import Report
 
@@ -189,13 +189,13 @@ def test_z_lowerbound_is_a_true_lower_bound():
 
 
 def _gap_at(b, n):
-    """certificates._z_bound_gap(b, n) with its inputs built directly, and the
-    positive factor 2 t t1 p q (m+1) F_den that clears the denominators of its proof."""
-    head, (_, t1) = tail_pmf_head(n, b, b, n), tail_pmf_head(n, b + 1, b + 1, n)
+    """certificates._z_bound_gap(b, n) with its inputs built directly from the
+    tail numerators (T_b, N_b) and (_, N_{b+1}), and the positive factor
+    2 N_b N_{b+1} (m+1) F_den that clears the denominators of its proof."""
+    (t, n_b), (_, n_b1) = (tail_pmf_numerators(n, c, c, n) for c in (b, b + 1))
     m = n - b - 1
-    p, q = (m + 1) ** (m + 1), m**m
     f_den = 18 * (b + 1) ** 2 * m**2
-    return _z_bound_gap(b, n, n**n, p, q, head, t1), 2 * head[1] * t1 * p * q * (m + 1) * f_den
+    return _z_bound_gap(b, n, n**n - 2 * t, n_b, n_b1), 2 * n_b * n_b1 * (m + 1) * f_den
 
 
 def test_z_bound_gap_is_the_cleared_rational_gap():
@@ -219,7 +219,7 @@ def test_z_bound_gap_is_the_cleared_rational_gap():
 
 
 def test_z_lowerbound_needs_only_the_tail_kernel(monkeypatch):
-    """The scan decides every point from the tail heads: with the integral
+    """The scan decides every point from the tail rows: with the integral
     kernel and lcm made to raise, its thresholds and diagonal are unchanged."""
     want = check_z_lowerbound(n_max=60)
 
@@ -233,6 +233,10 @@ def test_z_lowerbound_needs_only_the_tail_kernel(monkeypatch):
     assert got.status == want.status == VERIFIED
 
 
+def _z_diff(b, n):
+    return ramanujan_z(BinomialSpec(b + 1, n)) - ramanujan_z(BinomialSpec(b, n))
+
+
 def _rat_scan(b_lo, b_hi, n_max, diag_n_max):
     """The per-point Rat comparison that check_z_lowerbound replaced, as its oracle."""
     b_hi = min(b_hi, (n_max - 2) // 2)
@@ -241,8 +245,7 @@ def _rat_scan(b_lo, b_hi, n_max, diag_n_max):
     cert = certificates.InequalityCertificate("eq-diff_z_bn_lowerbound", rng)
 
     def holds(b, n):
-        diff = ramanujan_z(BinomialSpec(b + 1, n)) - ramanujan_z(BinomialSpec(b, n))
-        return z_diff_lower_bound(b, n) <= diff
+        return z_diff_lower_bound(b, n) <= _z_diff(b, n)
 
     thresholds = {}
     for b in range(b_lo, b_hi + 1):
@@ -255,7 +258,7 @@ def _rat_scan(b_lo, b_hi, n_max, diag_n_max):
                 first_good = None
         thresholds[b] = first_good
         if first_good is None:
-            cert.record_violation(b, n_max, z_diff_lower_bound(b, n_max), 0,
+            cert.record_violation(b, n_max, z_diff_lower_bound(b, n_max), _z_diff(b, n_max),
                                   note="no threshold within range")
     cert.extra["thresholds"] = thresholds
     cert.extra["diagonal_holds"] = {n: holds((n - 1) // 2, n)
@@ -274,8 +277,9 @@ def test_z_lowerbound_matches_the_rat_scan(n_max):
 
 
 def test_z_lowerbound_scan_feeds_each_point_its_own_inputs(monkeypatch):
-    """The scan shares heads and powers across b and n; every point it decides,
-    diagonal included, must get the gap built from its own inputs."""
+    """The scan reads each point's entries from a row shared by all b at one n;
+    every point it decides, diagonal included, must get the gap built from its
+    own entries at b and b+1."""
     real, calls = certificates._z_bound_gap, []
 
     def spy(b, n, *rest):
@@ -293,7 +297,8 @@ def test_z_lowerbound_scan_feeds_each_point_its_own_inputs(monkeypatch):
 
 def test_z_lowerbound_failing_points_set_thresholds_and_witnesses(monkeypatch):
     """A failure at (7, 50) moves b = 7's threshold to 51; a failure at
-    (9, n_max) leaves b = 9 without one, witnessed by the exact bound."""
+    (9, n_max) leaves b = 9 without one, witnessed by the exact bound against
+    the exact difference z(10, n_max) - z(9, n_max)."""
     real = certificates._z_bound_gap
     failing = {(7, 50), (9, 60)}
     monkeypatch.setattr(certificates, "_z_bound_gap",
@@ -304,9 +309,29 @@ def test_z_lowerbound_failing_points_set_thresholds_and_witnesses(monkeypatch):
     (witness,) = cert.witnesses
     assert (witness.claim_id, witness.b, witness.n, witness.note) == (
         "eq-diff_z_bn_lowerbound", 9, 60, "no threshold within range")
-    exact = z_diff_lower_bound(9, 60)
-    assert witness.raw_lhs == f"{exact.numerator}/{exact.denominator}"
-    assert witness.raw_rhs == "0/1"
+    bound, diff = z_diff_lower_bound(9, 60), _z_diff(9, 60)
+    assert witness.raw_lhs == f"{bound.numerator}/{bound.denominator}"
+    assert witness.raw_rhs == f"{diff.numerator}/{diff.denominator}"
+    assert bound <= diff  # the true bound holds at (9, 60); only the forced gap failed
+
+
+def test_z_lowerbound_reads_one_tail_row_per_n_and_per_diagonal_point(monkeypatch):
+    """The scan takes one row b_lo..top+1 per n and one row b..b+1 per
+    near-diagonal point, and decides the same thresholds and diagonal."""
+    want = check_z_lowerbound(n_max=60)
+    real, calls = certificates.tail_row, []
+
+    def spy(n, b_lo, b_hi, *rest):
+        calls.append((n, b_lo, b_hi))
+        return real(n, b_lo, b_hi, *rest)
+
+    monkeypatch.setattr(certificates, "tail_row", spy)
+    got = check_z_lowerbound(n_max=60)
+    scan = [(n, 6, (n - 2) // 2 + 1) for n in range(14, 61)]
+    diagonal = [(n, (n - 1) // 2, (n + 1) // 2) for n in range(15, 62, 2)]
+    assert calls == scan + diagonal
+    assert got.extra == want.extra
+    assert got.status == want.status == VERIFIED
 
 
 def test_z_lowerbound_domain_guards():

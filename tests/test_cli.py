@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -164,6 +165,34 @@ def test_flags_a_target_does_not_read_are_usage_errors(command, target, flag, ch
     assert called == []
 
 
+@pytest.mark.parametrize("argv,prog,flag,level", [
+    (["certify", "--n-max", "3", "root-bounds"], "binram certify", "--n-max", "target"),
+    (["certify", "--n-max=3", "root-bounds"], "binram certify", "--n-max", "target"),
+    (["smalldev", "--c", "1", "monotonicity"], "binram smalldev", "--c", "target"),
+    (["--n-max", "3", "scan-p"], "binram", "--n-max", "command"),
+])
+def test_a_flag_before_its_target_is_named(argv, prog, flag, level, capsys):
+    """A leaf flag placed before the target (or subcommand) is named, with
+    where it belongs, instead of being read as the target's name."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == ""
+    assert captured.err.endswith(f"{prog}: error: {flag} comes before the {level}; "
+                                 f"flags go after the {level}\n"), captured.err
+
+
+def test_a_flag_prefix_at_its_own_level_still_parses(tmp_path, capsys):
+    """argparse takes a unique prefix of a flag; the misplaced-flag check
+    leaves the top level's own --config, so abbreviated, alone."""
+    cfg = tmp_path / "defaults.conf"
+    cfg.write_text("n-max = 12\n")
+    code, out = run_cli(["--conf", str(cfg), "scan-p"], capsys)
+    assert code == 0
+    assert out == run_cli(["scan-p", "--n-max", "12"], capsys)[1]
+
+
 def test_conjecture_guard_trips_before_the_first_row(monkeypatch, capsys):
     scanned = []
     monkeypatch.setattr(cli, "conjecture_scan", lambda n, step: scanned.append(n))
@@ -297,6 +326,51 @@ def test_no_timestamps_in_output(capsys):
     _, out = run_cli(["poisson", "--b-max", "3", "--format", "json"], capsys)
     doc = json.loads(out)
     assert not any("time" in k.lower() or "date" in k.lower() for k in doc["meta"])
+
+
+# -- README flag table ----------------------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def _readme_flag_table() -> dict:
+    """{(command,) or (command, target): {flag: default}} from the README rows
+    under "| subcommand or target | flags (default) |"; a flag's default is
+    the text in its parentheses, without backticks."""
+    with open(README, encoding="utf-8") as fh:
+        rows = fh.read().split("| subcommand or target | flags (default) |\n", 1)[1]
+    table = {}
+    for row in rows.splitlines()[1:]:
+        if not row.startswith("|"):
+            break
+        names, flags = (cell.strip() for cell in row.strip("|").split("|"))
+        names = re.findall(r"`([^`]+)`", names)
+        prefix = names[0].split()[:-1]  # "certify" in "`certify exp-bounds`, `z-lowerbound`"
+        documented = dict(re.findall(r"`(--[a-z-]+)[^`]*` \(`?([^`)]*)`?\)", flags))
+        assert documented or flags == "none", row
+        for name in names:
+            table[tuple(prefix + name.split()[-1:])] = documented
+    return table
+
+
+def _leaf_flags(parser, path=()) -> dict:
+    """The same map read from the leaf parsers, without --format and --out."""
+    subs = parser._subs()
+    if subs is not None:
+        return {key: flags for name, sub in subs.choices.items()
+                for key, flags in _leaf_flags(sub, path + (name,)).items()}
+    options = {a.option_strings[0]: a for a in parser._actions
+               if a.option_strings and a.dest != "help"}
+    fmt, out = options.pop("--format"), options.pop("--out")
+    assert (fmt.default, fmt.choices, out.default) == ("csv", ("csv", "json"), None), path
+    return {path: {flag: "required" if a.required else str(a.default)
+                   for flag, a in options.items()}}
+
+
+def test_readme_flag_table_matches_the_parsers():
+    """Every leaf parser has a README row, and each row lists exactly the
+    leaf's flags (beyond --format and --out) with their defaults."""
+    assert _readme_flag_table() == _leaf_flags(cli.build_parser())
 
 
 # -- config file --------------------------------------------------------------
