@@ -11,9 +11,10 @@ explicit range in exact integer/rational arithmetic and returns an
 ingredient is the certified bracket around e, which enters two
 boundary-case bounds through interval arithmetic.
 
-Beyond the largest scanned b, polynomial positivity is certified by a
-derivative-sign tail argument: a polynomial with positive value and positive
-derivatives of every order at the range top stays positive to the right.
+The Appendix C polynomial families are proved positive from their first
+few points by :func:`_positive_from` (Newton's forward-difference formula);
+each check keeps its point-by-point scan, with the same witnesses, as the
+fallback for a proof that fails.
 """
 
 from __future__ import annotations
@@ -79,7 +80,57 @@ def _tail_positive(coeffs: list, at: int) -> bool:
     return True
 
 
+def _positive_from(f, degree: int, lo: int) -> bool:
+    """True only if the integer polynomial f, of degree <= `degree`, is
+    positive at every integer >= lo; from f(lo), ..., f(lo + degree).
+
+    Proof.  Let D^k f(lo) be the forward differences at lo (D f(x) =
+    f(x+1) - f(x)), read off the table of those degree+1 values.  Each D
+    lowers the degree by one, so D^(degree+1) f = 0, and Newton's forward
+    formula is exact for every integer t >= 0:
+
+        f(lo + t) = sum_{k=0..degree} C(t, k) D^k f(lo).
+
+    (Induction on t: C(t+1, k) = C(t, k) + C(t, k-1) turns the sum at t+1
+    into the sum at t plus the same sum for D f, which is D f(lo + t).)
+    Every C(t, k) >= 0 and C(t, 0) = 1, so f(lo) > 0 and D^k f(lo) >= 0 for
+    k >= 1 give f(lo + t) >= f(lo) > 0.  False means only that this proof
+    does not apply; the caller's direct scan then decides.
+    """
+    row = [f(lo + t) for t in range(degree + 1)]
+    heads = []
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return heads[0] > 0 and all(d >= 0 for d in heads[1:])
+
+
 # -- fourth-derivative certificate for small b --------------------------------
+
+
+def _small_b_forms(b: int) -> tuple:
+    """(c2, value, slope, h2, hv, hs) at b, all at n = 3b+2: the sufficient
+    quadratic f(n) = c2 n^2 + c1 n + c0 = 5b (inner) - 3 n^2 (b+13), inner
+    the reduced quintic part, with its value and slope; and the side
+    condition (b+1)^2 (n-b-1)^2 - (b^2+8)(n-b)^2 = h2 n^2 + h1 n + h0 used by
+    the reduction, with its value and slope."""
+    c2 = 20 * b**2 + 77 * b - 39
+    c1 = -80 * b**3 - 355 * b**2 - 560 * b
+    c0 = 60 * b**4 + 320 * b**3 + 690 * b**2
+    h2 = (b + 1) ** 2 - (b**2 + 8)
+    h1 = -2 * (b + 1) ** 3 + 2 * b * (b**2 + 8)
+    h0 = (b + 1) ** 4 - b**2 * (b**2 + 8)
+    at = 3 * b + 2
+    return (c2, c2 * at**2 + c1 * at + c0, 2 * c2 * at + c1,
+            h2, h2 * at**2 + h1 * at + h0, 2 * h2 * at + h1)
+
+
+# (family, degree in b, f(b)) of every family a check proves by _positive_from;
+# the b^4 terms of value and h0 cancel, so each degree is exact
+SMALL_B_FAMILIES = tuple(
+    (name, degree, lambda b, k=k: _small_b_forms(b)[k])
+    for k, (name, degree) in enumerate((("c2", 2), ("value", 3), ("slope", 3),
+                                        ("h2", 1), ("hv", 3), ("hs", 2))))
 
 
 def check_small_b(
@@ -90,51 +141,58 @@ def check_small_b(
 ) -> InequalityCertificate:
     """The small-b inequality: direct exact check on the finite range
     (b <= b_hi, 3b+2 <= n <= n_cap), then its sufficient polynomial form for
-    every b up to tail_b_hi with an all-n tail certificate.
+    every b from b_hi up to tail_b_hi.
+
+    The sufficient form holds at b when f(n) is convex with positive value
+    and slope at n = 3b+2, and so is positive for every n >= 3b+2; likewise
+    the side condition.  The six b-families of SMALL_B_FAMILIES (c2, value,
+    slope, h2, hv, hs, of degree 2, 3, 3, 1, 3, 2) are proved positive for
+    every b >= b_hi by _positive_from; if any proof fails, the per-b scan up
+    to tail_b_hi decides.  Each direct point compares P * den > b d4 in
+    integers and builds the rational right-hand side only for a witness.
     """
     rng = RangeSpec("small-b-band", b_lo, tail_b_hi, 3 * b_lo + 2, n_cap)
     cert = InequalityCertificate("eq-small_b_ineq", rng)
 
     for b in range(b_lo, b_hi + 1):
         for n in range(3 * b + 2, n_cap + 1):
-            # b n d4 / (5 x**(b-4) (1-x)**(n-b-2)) at x = (b+1)/n, d4 the fourth
-            # derivative at 1 - b/n, with n**(n-5) d4 from the integer closed form
+            # the rhs b n d4 / (5 x**(b-4) (1-x)**(n-b-2)) at x = (b+1)/n, d4 the
+            # fourth derivative at 1 - b/n, is b d4' / den with d4' = n**(n-5) d4
+            # from the integer closed form and den > 0
             d4 = kernel.derivative_closed_form(BinomialSpec(b, n), 4, n - b, n)
-            rhs = Rat(b * d4, 5 * (b + 1) ** (b - 4) * (n - b - 1) ** (n - b - 2))
+            den = 5 * (b + 1) ** (b - 4) * (n - b - 1) ** (n - b - 2)
             lhs = kernel.eval_P(b, n)
-            if not lhs > rhs:
-                cert.record_violation(b, n, lhs, rhs, note="direct")
+            if not lhs * den > b * d4:
+                cert.record_violation(b, n, lhs, Rat(b * d4, den), note="direct")
 
-    # sufficient quadratic-in-n form: positive at n = 3b+2 and convex-increasing
     poly_fail = []
-    for b in range(b_hi, tail_b_hi + 1):
-        # f(n) = 5b * (inner) - 3 n**2 (b+13), inner the reduced quintic part
-        c2 = 20 * b**2 + 77 * b - 39
-        c1 = -80 * b**3 - 355 * b**2 - 560 * b
-        c0 = 60 * b**4 + 320 * b**3 + 690 * b**2
-        at = 3 * b + 2
-        value = c2 * at**2 + c1 * at + c0
-        slope = 2 * c2 * at + c1
-        if not (c2 > 0 and value > 0 and slope > 0):
-            poly_fail.append(b)
-            cert.record_violation(b, at, value, 0, note="sufficient-form")
-        # side condition (b+1)^2 (n-b-1)^2 > (b^2+8)(n-b)^2 used by the reduction
-        h2 = (b + 1) ** 2 - (b**2 + 8)
-        h1 = -2 * (b + 1) ** 3 + 2 * b * (b**2 + 8)
-        h0 = (b + 1) ** 4 - b**2 * (b**2 + 8)
-        hv = h2 * at**2 + h1 * at + h0
-        hs = 2 * h2 * at + h1
-        if not (h2 > 0 and hv > 0 and hs > 0):
-            cert.record_violation(b, at, hv, 0, note="side-condition")
+    if not all(_positive_from(f, degree, b_hi) for _, degree, f in SMALL_B_FAMILIES):
+        for b in range(b_hi, tail_b_hi + 1):
+            c2, value, slope, h2, hv, hs = _small_b_forms(b)
+            if not (c2 > 0 and value > 0 and slope > 0):
+                poly_fail.append(b)
+                cert.record_violation(b, 3 * b + 2, value, 0, note="sufficient-form")
+            if not (h2 > 0 and hv > 0 and hs > 0):
+                cert.record_violation(b, 3 * b + 2, hv, 0, note="side-condition")
     cert.extra["sufficient_form_failures"] = poly_fail
     return cert.finish()
 
 
+R_DEGREE = 2  # kernel.eval_R(b, n) is a quadratic in b at each n
+
+
 def check_r_positivity(n_max: int = 500) -> InequalityCertificate:
-    """Exact positivity of the R-part of P on 6 <= b <= (n-2)/3."""
-    rng = RangeSpec("small-b-band", 6, n_max // 3, 20, n_max)
+    """Exact positivity of the R-part of P on 6 <= b <= (n-2)/3, 20 <= n <= n_max.
+
+    At each n, R(b, n), a quadratic in b (R_DEGREE), is proved positive for
+    every b >= 6 by _positive_from, from b = 6, 7, 8; if the proof fails at
+    some n, that n's b are scanned directly.
+    """
+    rng = RangeSpec("small-b-band", 6, (n_max - 2) // 3, 20, n_max)
     cert = InequalityCertificate("appC-R-positivity", rng)
     for n in range(20, n_max + 1):
+        if _positive_from(lambda b: kernel.eval_R(b, n), R_DEGREE, 6):
+            continue
         for b in range(6, (n - 2) // 3 + 1):
             r = kernel.eval_R(b, n)
             if not r > 0:
@@ -145,29 +203,51 @@ def check_r_positivity(n_max: int = 500) -> InequalityCertificate:
 # -- medium b ------------------------------------------------------------------
 
 
+def _medium_q(b: int, n: int) -> int:
+    """5P - bn(3bn + 46b - 57n), negative where the medium-b inequality holds."""
+    return 5 * kernel.eval_P(b, n) - b * n * (3 * b * n + 46 * b - 57 * n)
+
+
+def _medium_lead(b: int) -> int:
+    """The n^2 coefficient of _medium_q (P is quadratic in n)."""
+    return 20 * b**3 + 77 * b**2 + 117 * b + 120
+
+
+# the degree-5 terms of q(b, 3b+1) cancel
+MEDIUM_FAMILIES = (
+    ("lead", 3, _medium_lead),
+    ("-q(b, 2b)", 5, lambda b: -_medium_q(b, 2 * b)),
+    ("-q(b, 3b+1)", 4, lambda b: -_medium_q(b, 3 * b + 1)),
+)
+
+
 def check_medium(
     b_lo: int = 6, b_hi: int = 19, tail_b_hi: int = 10**4
 ) -> InequalityCertificate:
     """The medium-b inequality 5P < bn(3bn + 46b - 57n): direct on the finite
     leftover band, then certified over [2b, 3b+1] for all larger b via
-    convexity (negative at both endpoints of the band)."""
+    convexity (negative at both endpoints of the band).
+
+    The convexity step needs lead > 0, q(b, 2b) < 0 and q(b, 3b+1) < 0 at b;
+    the three b-families of MEDIUM_FAMILIES (lead, -q(b, 2b), -q(b, 3b+1), of
+    degree 3, 5, 4) are proved positive for every b >= b_hi by
+    _positive_from.  If any proof fails, the per-b scan up to tail_b_hi
+    decides.
+    """
     rng = RangeSpec("medium-band", b_lo, tail_b_hi, 2 * b_lo, 3 * tail_b_hi + 1)
     cert = InequalityCertificate("eq-medium_b_ineq", rng)
 
-    def q(b: int, n: int) -> int:
-        return 5 * kernel.eval_P(b, n) - b * n * (3 * b * n + 46 * b - 57 * n)
-
     for b in range(b_lo, b_hi + 1):
         for n in range(2 * b, 3 * b + 1 + 1):
-            val = q(b, n)
+            val = _medium_q(b, n)
             if not val < 0:
                 cert.record_violation(b, n, val, 0, note="direct")
 
-    for b in range(b_hi, tail_b_hi + 1):
-        lead = 20 * b**3 + 77 * b**2 + 117 * b + 120  # n^2 coefficient of q
-        lo_val, hi_val = q(b, 2 * b), q(b, 3 * b + 1)
-        if not (lead > 0 and lo_val < 0 and hi_val < 0):
-            cert.record_violation(b, 2 * b, lo_val, 0, note="convexity-endpoints")
+    if not all(_positive_from(f, degree, b_hi) for _, degree, f in MEDIUM_FAMILIES):
+        for b in range(b_hi, tail_b_hi + 1):
+            lo_val, hi_val = _medium_q(b, 2 * b), _medium_q(b, 3 * b + 1)
+            if not (_medium_lead(b) > 0 and lo_val < 0 and hi_val < 0):
+                cert.record_violation(b, 2 * b, lo_val, 0, note="convexity-endpoints")
     return cert.finish()
 
 
@@ -196,9 +276,28 @@ def above_half_bracket(bt: int, n: int):
     )
 
 
+def _above_half_cleared(bt: int, n: int) -> int:
+    """above_half_bracket(bt, n) times D = 120 n**6 (bt+1)**bt m**(m+1),
+    m = n-bt-1 >= 1: an integer with the bracket's sign, as D > 0.
+
+    With x = (bt+1)/n, u = (m+1)/m and K = (bt+1)**bt m**(m+1), the three
+    bracket terms times D are 5 P K, bt n (3 bt n + 46 bt - 57 n + 46) K and
+    120 (bt+1)**4 m**2 ((m+1) (bt+1)**bt m**m - bt**bt (m+1)**(m+1)), as
+    x**4 (1-x)**2 = (bt+1)**4 m**2 / n**6 and the correction
+    u - (bt/(bt+1))**bt u**(m+1) times K is the last factor.
+    """
+    m = n - bt - 1
+    t_pow, m_pow = (bt + 1) ** bt, m**m
+    poly = 5 * kernel.eval_P(bt, n) - bt * n * (3 * bt * n + 46 * bt - 57 * n + 46)
+    correction = (m + 1) * t_pow * m_pow - bt**bt * (m + 1) ** (m + 1)
+    return poly * t_pow * m_pow * m + 120 * (bt + 1) ** 4 * m**2 * correction
+
+
 def check_above_half(bt_lo: int = 5, bt_hi: int = 10**3, spot_stride: int = 37) -> InequalityCertificate:
     """The above-n/2 reduction: 9 A bt^2 + 3 bt B + C < 0 for every bt in
-    range, plus direct negativity of the unreduced bracket at strided spots."""
+    range, plus direct negativity of the unreduced bracket at strided spots,
+    decided by the sign of the integer _above_half_cleared; a witness carries
+    the rational above_half_bracket."""
     rng = RangeSpec("above-half-band", bt_lo, bt_hi, 2 * bt_lo, 3 * bt_hi + 1)
     cert = InequalityCertificate("eq-above_n_over_2_b_ineq", rng)
     for bt in range(bt_lo, bt_hi + 1):
@@ -211,10 +310,9 @@ def check_above_half(bt_lo: int = 5, bt_hi: int = 10**3, spot_stride: int = 37) 
         for n in (2 * bt + 2, 3 * bt, 3 * bt + 1):
             if n <= bt + 1:
                 continue
-            val = above_half_bracket(bt, n)
             spots += 1
-            if not val < 0:
-                cert.record_violation(bt, n, val, 0, note="direct-spot")
+            if not _above_half_cleared(bt, n) < 0:
+                cert.record_violation(bt, n, above_half_bracket(bt, n), 0, note="direct-spot")
     cert.extra["direct_spots"] = spots
     return cert.finish()
 
@@ -487,12 +585,25 @@ def _root_product(factors: list, b: int) -> int:
     return prod
 
 
+# (claim, degree in b, f(b)): each product 4 f1 f2 has degree 2 + 3
+ROOT_FAMILIES = tuple(
+    (claim, sum(len(c) - 1 for c in factors), lambda b, factors=factors: _root_product(factors, b))
+    for claim, (_, factors) in _ROOT_PRODUCTS.items())
+
+
 def check_root_bounds(b_hi: int = 10**4) -> InequalityCertificate:
-    """Positivity of the two root-location products from their stated b on,
-    scanned exactly to b_hi and certified beyond by the derivative-sign tail."""
+    """Positivity of the two root-location products from their stated b on.
+
+    Each product (ROOT_FAMILIES, degree 5) is proved positive for every
+    b >= its stated b_lo by _positive_from.  If a proof fails, that product
+    is scanned exactly to b_hi and certified beyond by the derivative-sign
+    tail of each factor."""
     rng = RangeSpec("root-bounds", 19, b_hi, 0, 0)
     cert = InequalityCertificate("appC-root-bounds", rng)
-    for claim, (b_lo, factors) in _ROOT_PRODUCTS.items():
+    for claim, degree, f in ROOT_FAMILIES:
+        b_lo, factors = _ROOT_PRODUCTS[claim]
+        if _positive_from(f, degree, b_lo):
+            continue
         for b in range(b_lo, b_hi + 1):
             prod = _root_product(factors, b)
             if not prod > 0:

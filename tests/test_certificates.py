@@ -1,6 +1,7 @@
 """Inequality certificates on reduced ranges: statuses, the known corner
 violations of the medium-band sufficient inequality, the root products'
-sharpness, and the derivative-sign tail argument."""
+sharpness, the derivative-sign tail argument, and the forward-difference
+proofs of the Appendix C families against their direct scans."""
 
 import math
 import random
@@ -10,9 +11,15 @@ import pytest
 from binram import certificates
 from binram.backend import Rat
 from binram.certificates import (
+    MEDIUM_FAMILIES,
+    R_DEGREE,
+    ROOT_FAMILIES,
+    SMALL_B_FAMILIES,
     VERIFIED,
     VIOLATED,
     _ROOT_PRODUCTS,
+    _above_half_cleared,
+    _positive_from,
     _root_product,
     _tail_positive,
     _z_bound_gap,
@@ -29,7 +36,7 @@ from binram.certificates import (
     z_diff_lower_bound,
 )
 from binram.exactcore import BinomialSpec, DomainError, ramanujan_z, tail_pmf_numerators
-from binram.kernel import eval_P
+from binram.kernel import derivative_closed_form, eval_P, eval_R
 from binram.report import Report
 
 
@@ -52,6 +59,14 @@ def test_small_b_verified():
 
 def test_r_positivity_verified():
     assert check_r_positivity(150).status == VERIFIED
+
+
+@pytest.mark.parametrize("n_max,b_top", [(150, 49), (151, 49), (152, 50), (500, 166)])
+def test_r_positivity_states_the_range_it_scans(n_max, b_top):
+    """The stated b range ends at (n_max-2)//3, the largest b the scan reaches."""
+    cert = check_r_positivity(n_max)
+    assert cert.range.describe() == f"small-b-band: b in [6, {b_top}], n in [20, {n_max}]"
+    assert max((n - 2) // 3 for n in range(20, n_max + 1)) == b_top
 
 
 def test_medium_has_exactly_the_three_corner_violations():
@@ -370,3 +385,169 @@ def test_root_bounds_verified_with_sharpness():
     probes = {claim: _root_product(factors, b_lo - 1)
               for claim, (b_lo, factors) in _ROOT_PRODUCTS.items()}
     assert probes == {"appC-root-bound-39": -3081144864, "appC-root-bound-19": -42693300}
+
+
+# -- forward-difference proofs of the Appendix C families ----------------------
+
+
+def test_positive_from_cases():
+    assert _positive_from(lambda x: (1 + x) ** 2, 2, 0)
+    assert _positive_from(lambda x: 7, 0, -5)  # a positive constant
+    assert not _positive_from(lambda x: x * (x + 3), 2, 0)  # f(lo) = 0
+    assert not _positive_from(lambda x: (x - 10) ** 2 + 1, 2, 0)  # positive, first difference < 0
+    # f(lo) > 0 and the first difference too: only the last, -2, is negative
+    assert not _positive_from(lambda x: 1 + 100 * x - x**2, 2, 0)
+    assert not _positive_from(lambda x: 5 - x, 1, 0)
+
+
+def _differences(values):
+    """The heads D^0, D^1, ... of the forward-difference table of `values`."""
+    heads = []
+    while values:
+        heads.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return heads
+
+
+def _families():
+    """(label, degree, f) for every family a check proves, R at sampled n."""
+    out = [(name, degree, f) for name, degree, f in SMALL_B_FAMILIES + MEDIUM_FAMILIES + ROOT_FAMILIES]
+    out += [(f"R(b, {n})", R_DEGREE, lambda b, n=n: eval_R(b, n)) for n in (20, 77, 500)]
+    return out
+
+
+@pytest.mark.parametrize("name,degree,f", _families(), ids=[fam[0] for fam in _families()])
+def test_family_degree_is_exact(name, degree, f):
+    """The (degree+1)-th difference vanishes and the degree-th does not, so the
+    stated degree is the family's degree in b; a lower claim would make
+    _positive_from read too few points."""
+    for lo in (-3, 6, 19, 39, 1000, 10**4):
+        heads = _differences([f(lo + t) for t in range(degree + 2)])
+        assert heads[degree + 1] == 0, (name, lo)
+        assert heads[degree] != 0, (name, lo)
+
+
+def _force_fallback(monkeypatch):
+    monkeypatch.setattr(certificates, "_positive_from", lambda f, degree, lo: False)
+
+
+def _full(cert):
+    return (cert.status, cert.range.describe(), [w.as_row() for w in cert.witnesses], cert.extra)
+
+
+@pytest.mark.parametrize("check", [check_small_b, check_medium, check_r_positivity,
+                                   check_root_bounds], ids=lambda c: c.__name__)
+def test_proofs_match_the_direct_scans_at_the_cli_defaults(monkeypatch, check):
+    """At the CLI's ranges (b <= 10^4, n <= 500) every proof holds, and the
+    direct scan it replaces, forced here, reports the same certificate."""
+    proved = _full(check())
+    with pytest.MonkeyPatch.context() as mp:
+        _force_fallback(mp)
+        scanned = _full(check())
+    assert proved == scanned
+
+
+def test_above_half_integer_sign_matches_the_bracket_scan(monkeypatch):
+    """At the CLI's range (bt <= 10^3), deciding the spots by the rational
+    bracket itself reports the same certificate."""
+    proved = _full(check_above_half())
+    monkeypatch.setattr(certificates, "_above_half_cleared", above_half_bracket)
+    assert _full(check_above_half()) == proved
+
+
+def test_above_half_cleared_is_the_bracket_times_its_positive_factor():
+    """Exactly at every 5 <= bt <= 200 and 2bt+2 <= n <= 3bt+1, the band's spots."""
+    for bt in range(5, 201):
+        for n in range(2 * bt + 2, 3 * bt + 2):
+            m = n - bt - 1
+            scale = 120 * n**6 * (bt + 1) ** bt * m ** (m + 1)
+            assert Rat(_above_half_cleared(bt, n), scale) == above_half_bracket(bt, n), (bt, n)
+
+
+def _medium_reference(b_lo, b_hi, tail_b_hi):
+    """check_medium's per-point loops, as they stood before the proofs."""
+    cert = certificates.InequalityCertificate(
+        "eq-medium_b_ineq",
+        certificates.RangeSpec("medium-band", b_lo, tail_b_hi, 2 * b_lo, 3 * tail_b_hi + 1))
+
+    def q(b, n):
+        return 5 * eval_P(b, n) - b * n * (3 * b * n + 46 * b - 57 * n)
+
+    for b in range(b_lo, b_hi + 1):
+        for n in range(2 * b, 3 * b + 1 + 1):
+            val = q(b, n)
+            if not val < 0:
+                cert.record_violation(b, n, val, 0, note="direct")
+    for b in range(b_hi, tail_b_hi + 1):
+        lead = 20 * b**3 + 77 * b**2 + 117 * b + 120
+        lo_val, hi_val = q(b, 2 * b), q(b, 3 * b + 1)
+        if not (lead > 0 and lo_val < 0 and hi_val < 0):
+            cert.record_violation(b, 2 * b, lo_val, 0, note="convexity-endpoints")
+    return cert.finish()
+
+
+def test_medium_falls_back_when_its_proof_fails():
+    """From b_hi = 8 the family -q(b, 3b+1) starts at -q(8, 25) = -7280 < 0,
+    so its proof fails and the per-b scan finds the endpoint witness at b = 8."""
+    assert -certificates._medium_q(8, 25) == -7280
+    assert not _positive_from(MEDIUM_FAMILIES[2][2], MEDIUM_FAMILIES[2][1], 8)
+    got = check_medium(6, 8, 300)
+    want = _medium_reference(6, 8, 300)
+    assert _full(got) == _full(want)
+    assert [(w.b, w.n, w.note) for w in got.witnesses][-1] == (8, 16, "convexity-endpoints")
+
+
+def test_small_b_falls_back_when_its_proof_fails():
+    """The sufficient form first holds at b = 39, so from b_hi = 20 its proof
+    fails and the per-b scan lists b = 20..38."""
+    cert = check_small_b(6, 20, 70, 300)
+    assert cert.extra["sufficient_form_failures"] == list(range(20, 39))
+    assert [(w.b, w.n, w.note) for w in cert.witnesses] == [
+        (b, 3 * b + 2, "sufficient-form") for b in range(20, 39)]
+    with pytest.MonkeyPatch.context() as mp:
+        _force_fallback(mp)
+        assert _full(check_small_b(6, 20, 70, 300)) == _full(cert)
+
+
+@pytest.mark.parametrize("offset,witnessed", [(0, True), (1, False)])
+def test_small_b_direct_compare_is_the_rational_compare(monkeypatch, offset, witnessed):
+    """With P set to floor(rhs) + offset at each direct point, P > rhs fails
+    at offset 0 and holds at offset 1, rhs = b d4 / den the exact rational."""
+    def rhs(b, n):
+        d4 = derivative_closed_form(BinomialSpec(b, n), 4, n - b, n)
+        return Rat(b * d4, 5 * (b + 1) ** (b - 4) * (n - b - 1) ** (n - b - 2))
+
+    monkeypatch.setattr(certificates.kernel, "eval_P",
+                        lambda b, n: math.floor(rhs(b, n)) + offset)
+    cert = check_small_b(6, 9, 40, 9)
+    points = [(b, n) for b in range(6, 10) for n in range(3 * b + 2, 41)]
+    assert [(w.b, w.n) for w in cert.witnesses if w.note == "direct"] == (points if witnessed else [])
+
+
+def _count_calls(monkeypatch, owner, name):
+    real, calls = getattr(owner, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_proofs_replace_the_tail_scans(monkeypatch):
+    """At the defaults: check_medium evaluates P at the 203 direct points and
+    at most 12 proof points, check_root_bounds each product at its 6 proof
+    points, and check_r_positivity R at 3 points per n."""
+    p_calls = _count_calls(monkeypatch, certificates.kernel, "eval_P")
+    assert check_medium().status == VIOLATED
+    assert len(p_calls) <= 203 + 12
+    root_calls = _count_calls(monkeypatch, certificates, "_root_product")
+    assert check_root_bounds().status == VERIFIED
+    assert len(root_calls) <= 12
+    r_calls = _count_calls(monkeypatch, certificates.kernel, "eval_R")
+    assert check_r_positivity().status == VERIFIED
+    per_n = {}
+    for _, n in r_calls:
+        per_n[n] = per_n.get(n, 0) + 1
+    assert set(per_n) == set(range(20, 501)) and max(per_n.values()) <= 3
