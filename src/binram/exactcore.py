@@ -11,6 +11,7 @@ whose monotonicity in b and n is what the certificate suites verify.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .backend import Rat
@@ -54,18 +55,30 @@ def falling(x: int, k: int) -> int:
 
 def tail_pmf_head(n: int, b: int, p: int, r: int) -> tuple:
     """Integers (A, t) with T = A s**(n-b) and N = t s**(n-b), s = r - p,
-    for the numerators T, N of :func:`tail_pmf_numerators`.
+    for the numerators T, N of :func:`tail_pmf_numerators`:
 
-    Horner in s: acc = acc*s + t runs over t = C(n, i) p**i, and t advances
-    exactly, because C(n, i) (n-i) / (i+1) = C(n, i+1).  Each step is a
-    big-by-small product; A = acc*s and t = C(n, b) p**b on exit.
+        A = sum_{i<b} C(n, i) p**i s**(b-i),    t = C(n, b) p**b.
+
+    Nested Horner, division-free in the loop.  With f_i = i! C(n, i) p**i,
+    so f_0 = 1 and f_{i+1} = f_i (n-i) p, the steps P <- P (i s) + f_i,
+    f <- f (n-i) p for i = 0..b-1, from P = 0, give
+
+        P_m = sum_{i<m} f_i s**(m-1-i) (m-1)! / i!,    1 <= m <= b,
+
+    by induction: P_1 = f_0, and P_{m+1} = m s P_m + f_m adds the factor
+    m s to every earlier term.  So s P_b = (b-1)! A and f_b = b (b-1)! t, and
+    the two divisions at the end are exact.  Each step is two big-by-small
+    products; b = 0 has the empty sum, (0, 1).
     """
+    if b == 0:
+        return 0, 1
     s = r - p
-    acc, t = 0, 1
+    acc, f = 0, 1
     for i in range(b):
-        acc = acc * s + t
-        t = t * (n - i) // (i + 1) * p
-    return acc * s, t
+        acc = acc * (i * s) + f
+        f *= (n - i) * p
+    fact = math.factorial(b - 1)
+    return acc * s // fact, f // (b * fact)
 
 
 def _long_side(n: int, b: int, p: int, r: int) -> tuple:

@@ -1,4 +1,4 @@
-"""Certified rational enclosures of z(b, n) for n beyond exact arithmetic.
+"""Certified integer enclosures of z(b, n) for n beyond exact arithmetic.
 
 Exact rational arithmetic becomes too expensive for n in the hundreds of
 thousands, because P(X < b) and P(X = b) carry the common factor
@@ -8,11 +8,12 @@ thousands, because P(X < b) and P(X = b) carry the common factor
 
 with the integers A and t from the exact kernel head
 (:func:`exactcore.tail_pmf_head`).  Only the power (n / (n-b))**(n-b) is not
-exact: :func:`intervals.power_enclosure` encloses it with outward-rounded
-integer arithmetic.  So every z is an interval that contains the true value,
-and a sign is accepted only when an enclosed difference excludes 0; more
-digits only narrow the enclosures.  Below the exact cutoff the sign is
-delegated to the exact path.
+exact: :func:`intervals.power_enclosure` encloses it by integer endpoints
+over 2**bits, with outward rounding.  So every z is enclosed by two integer
+numerators over one positive integer denominator, and a sign is accepted only
+when the enclosures, compared by cross-multiplying those integers, exclude
+0; more digits only narrow the enclosures.  Below the exact cutoff the sign
+is delegated to the exact path.
 """
 
 from __future__ import annotations
@@ -30,44 +31,60 @@ GUARD_BITS = 4
 INCONCLUSIVE = "inconclusive"
 
 
-def z_highprec(spec: BinomialSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue:
-    """Rational enclosure of z(b, n) at policy.digits digits.
+def _z_numerators(n: int, b: int, digits: int) -> tuple:
+    """Integers (lo, hi, d), d > 0, with lo / d <= z(b, n) <= hi / d.
 
-    With k = n - b, the power is enclosed at bits = ceil(digits log2 10)
-    + 2 bit_length(k) + GUARD_BITS, so W's relative width is at most
-    4 k 2**-bits < 10**-digits / (4 (k + 1)), as k < k + 1 <= 2**bit_length(k)
-    and GUARD_BITS = 4.  Since P(X = b) = t / W, the width of z is below
+    With k = n - b, the power (n/k)**k is enclosed as [w_lo, w_hi] / 2**bits
+    at bits = ceil(digits log2 10) + 2 bit_length(k) + GUARD_BITS, so W lies
+    in n**b [w_lo, w_hi] / 2**bits and z = (W - 2A) / (2t) in
+
+        [n**b w_lo - 2A 2**bits, n**b w_hi - 2A 2**bits] / (2t 2**bits).
+
+    Width: hi - lo = n**b (w_hi - w_lo), and w_hi - w_lo <= 4 k (n/k)**k (the
+    bound of :func:`intervals.power_enclosure`; 2 k**2 <= 2**bits holds), so
+    (hi - lo) / d <= 4 k W / (2t 2**bits) = 2 k / (P(X = b) 2**bits), as
+    P(X = b) = t / W.  Since 2**bits > 16 (k + 1)**2 10**digits, as
+    k < k + 1 <= 2**bit_length(k) and GUARD_BITS = 4, the width of z is below
     10**-digits / (8 (k + 1) P(X = b)).
     """
-    b, n = spec.b, spec.n
     head, t = tail_pmf_head(n, b, b, n)
-    bits = (10**policy.digits).bit_length() + 2 * (n - b).bit_length() + GUARD_BITS
-    w = power_enclosure(n, n - b, n - b, bits)
-    lo, hi = ((n**b * end - 2 * head) / (2 * t) for end in (w.lo, w.hi))
-    return IntervalValue(lo, hi)
+    bits = (10**digits).bit_length() + 2 * (n - b).bit_length() + GUARD_BITS
+    w_lo, w_hi = power_enclosure(n, n - b, n - b, bits)
+    nb, shift = n**b, head << (bits + 1)
+    return nb * w_lo - shift, nb * w_hi - shift, t << (bits + 1)
+
+
+def z_highprec(spec: BinomialSpec, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue:
+    """Rational enclosure of z(b, n) at policy.digits digits, of width below
+    10**-digits / (8 (n - b + 1) P(X = b)) (see :func:`_z_numerators`)."""
+    lo, hi, d = _z_numerators(spec.n, spec.b, policy.digits)
+    return IntervalValue(Rat(lo, d), Rat(hi, d))
 
 
 def _enclosed_signs(n: int, b_lo: int, b_hi: int, policy: PrecisionPolicy) -> list:
     """Signs of z(b+1, n) - z(b, n) for b = b_lo..b_hi, one z enclosure per b.
 
     A sign is accepted only when the enclosures certify it: -1 or +1 when
-    they are disjoint, 0 when both are the same single point.  Only the
-    other pairs are evaluated again, at doubled digits, up to
-    policy.max_escalations times; a pair still overlapping is INCONCLUSIVE.
+    they are disjoint, 0 when both are the same single point.  With the
+    enclosures [l0, h0] / d0 of z(b, n) and [l1, h1] / d1 of z(b+1, n) and
+    d0, d1 > 0, z(b, n) lies strictly below z(b+1, n) when h0 d1 < l1 d0,
+    strictly above when h1 d0 < l0 d1, and equals it when l0 = h0, l1 = h1
+    and l0 d1 = l1 d0: every test is on integers.  Only the other pairs are
+    evaluated again, at doubled digits, up to policy.max_escalations times;
+    a pair still overlapping is INCONCLUSIVE.
     """
     signs = {}
     pending = list(range(b_lo, b_hi + 1))
     for digits in policy.escalation_digits():
-        sub = PrecisionPolicy(digits=digits)
-        zs = {b: z_highprec(BinomialSpec(b, n), sub)
+        zs = {b: _z_numerators(n, b, digits)
               for b in sorted({c for b in pending for c in (b, b + 1)})}
         for b in pending:
-            z0, z1 = zs[b], zs[b + 1]
-            if z0.strictly_below(z1):
+            (l0, h0, d0), (l1, h1, d1) = zs[b], zs[b + 1]
+            if h0 * d1 < l1 * d0:
                 signs[b] = 1
-            elif z1.strictly_below(z0):
+            elif h1 * d0 < l0 * d1:
                 signs[b] = -1
-            elif z1 == z0 and z0.width() == 0:  # two equal exact values: z(1, 2) = z(2, 2)
+            elif l0 == h0 and l1 == h1 and l0 * d1 == l1 * d0:  # two equal points: z(1, 2) = z(2, 2)
                 signs[b] = 0
         pending = [b for b in pending if b not in signs]
         if not pending:

@@ -10,7 +10,8 @@ Transcendental constants are produced from elementary certified brackets:
 e and 1/e from truncated exponential series with explicit remainder bounds,
 exp(-b) as the integer closed form of the b-th power of the 1/e bracket on a
 10**-k grid, square roots from integer sqrt with outward rounding, and large
-rational powers by fixed-point binary powering with outward rounding.
+rational powers by fixed-point binary powering with outward rounding, as
+integer endpoints over 2**bits.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ def sqrt_enclosure(x, digits: int) -> IntervalValue:
     return IntervalValue(Rat(root, scale), Rat(root + 1, scale))
 
 
-def power_enclosure(p: int, q: int, k: int, bits: int) -> IntervalValue:
-    """Enclosure of (p/q)**k for integers p >= q >= 1 and k >= 0, endpoints on
-    the grid 2**-bits; k = 0 gives the point 1, for any q.
+def power_enclosure(p: int, q: int, k: int, bits: int) -> tuple:
+    """Integers (lo, hi) with lo / 2**bits <= (p/q)**k <= hi / 2**bits, for
+    integers p >= q >= 1 and k >= 0; k = 0 gives lo = hi = 2**bits, for any q.
 
     Binary powering on fixed-point integers: the lower endpoint rounds p/q and
     every product down (``//``), the upper one up, so lo <= (p/q)**k <= hi.
@@ -203,15 +204,16 @@ def power_enclosure(p: int, q: int, k: int, bits: int) -> IntervalValue:
     p/q with w = k, the square (p/q)**(2**j) with w = floor(k / 2**j), and each
     product after the first (exact) one with w = 1.  The weights sum to
     m = k + (k - popcount(k)) + (popcount(k) - 1) = 2k - 1, so
-    (1-e)**m <= lo / (p/q)**k and hi / (p/q)**k <= (1+e)**m.  When
-    2 k**2 <= 2**bits, m e < 1 and the width is at most
-    (2 m e + (m e)**2) (p/q)**k <= 4 k e (p/q)**k.
+    (1-e)**m <= lo e / (p/q)**k and hi e / (p/q)**k <= (1+e)**m.  When
+    2 k**2 <= 2**bits, m e < 1 and (hi - lo) e is at most
+    (2 m e + (m e)**2) (p/q)**k <= 4 k e (p/q)**k, that is
+    (hi - lo) q**k <= 4 k p**k.
     """
+    one = 1 << bits
     if k == 0:
-        return IntervalValue.point(1)
+        return one, one
     if not 1 <= q <= p:
         raise ValueError(f"power_enclosure needs p >= q >= 1, got p={p}, q={q}")
-    one = 1 << bits
     lo, hi = (p << bits) // q, -(-(p << bits) // q)
     acc_lo = acc_hi = one
     while True:
@@ -219,7 +221,7 @@ def power_enclosure(p: int, q: int, k: int, bits: int) -> IntervalValue:
             acc_lo, acc_hi = acc_lo * lo >> bits, -(-acc_hi * hi >> bits)
         k >>= 1
         if not k:
-            return IntervalValue(Rat(acc_lo, one), Rat(acc_hi, one))
+            return acc_lo, acc_hi
         lo, hi = lo * lo >> bits, -(-hi * hi >> bits)
 
 

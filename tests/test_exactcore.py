@@ -146,9 +146,12 @@ def test_per_pair_wrappers_match_rows():
         z_diff_sign_exact(3, 3)
 
 
-def _comb_numerators(n, b, p, r):
-    return (sum(math.comb(n, i) * p**i * (r - p) ** (n - i) for i in range(b)),
-            math.comb(n, b) * p**b * (r - p) ** (n - b))
+def _comb_numerators(n, b, p, r, top=None):
+    """(sum_{i<b} C(n, i) p**i (r-p)**(top-i), C(n, b) p**b (r-p)**(top-b)):
+    the numerators (T, N) at top = n, the default, and the head (A, t) at top = b."""
+    top = n if top is None else top
+    return (sum(math.comb(n, i) * p**i * (r - p) ** (top - i) for i in range(b)),
+            math.comb(n, b) * p**b * (r - p) ** (top - b))
 
 
 def test_tail_pmf_numerators_match_comb_oracle():
@@ -158,6 +161,15 @@ def test_tail_pmf_numerators_match_comb_oracle():
             ratios = [(0, 1), (1, 1), (1, 3), (7, 10)] + ([(b, n)] if n else [])
             for p, r in ratios:
                 assert tail_pmf_numerators(n, b, p, r) == _comb_numerators(n, b, p, r), (n, b, p, r)
+
+
+def test_tail_pmf_head_matches_comb_oracle():
+    # every b, b > n/2 included (z_highprec and z_symmetry_row read those heads)
+    for n in range(61):
+        for b in range(n + 1):
+            ratios = [(0, 1), (1, 1), (1, 3), (7, 10)] + ([(b, n)] if n else [])
+            for p, r in ratios:
+                assert tail_pmf_head(n, b, p, r) == _comb_numerators(n, b, p, r, top=b), (n, b, p, r)
 
 
 def _long_side_row(n, b_lo, b_hi):

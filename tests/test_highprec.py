@@ -3,6 +3,7 @@ documented width, its signs equal the exact signs, and the guard contracts of
 the expansion residual and threshold scan hold."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -19,7 +20,6 @@ from binram.highprec import (
     z_diff_sign,
     z_highprec,
 )
-from binram.intervals import IntervalValue
 from binram.precision import PrecisionPolicy
 
 POLICY = PrecisionPolicy(digits=30, max_escalations=3)
@@ -70,13 +70,25 @@ def test_z_diff_sign_float_path_agrees_with_exact():
 def test_overlapping_enclosures_escalate_then_stay_inconclusive(monkeypatch, slope):
     digits = []
 
-    def overlapping(spec, policy):  # the midpoints move by slope/100, yet no sign is certain
-        digits.append(policy.digits)
-        return IntervalValue(Rat(slope * spec.b, 100), Rat(slope * spec.b, 100) + 1)
+    def overlapping(n, b, d):  # the midpoints move by slope/100, yet no sign is certain
+        digits.append(d)
+        return slope * b, slope * b + 100, 100
 
-    monkeypatch.setattr(highprec, "z_highprec", overlapping)
+    monkeypatch.setattr(highprec, "_z_numerators", overlapping)
     assert _enclosed_signs(100, 5, 5, POLICY) == [INCONCLUSIVE]
     assert digits == [30, 30, 60, 60, 120, 120, 240, 240]
+
+
+def test_threshold_scan_builds_no_fraction(monkeypatch):
+    """The scan decides every sign on integers: with Fraction construction
+    made to raise, its report at n = 10**4 is unchanged."""
+    want = theorem2_threshold(10**4)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the scan must not build a Fraction")
+
+    monkeypatch.setattr(Fraction, "__new__", boom)
+    assert theorem2_threshold(10**4) == want
 
 
 def test_z_diff_sign_domain_guard():

@@ -127,15 +127,18 @@ def test_sqrt_exact_square_tight():
 def test_power_enclosure_contains_the_power_within_its_width(q, excess, k, spare):
     p = q + excess  # p = q included
     bits = 2 * k.bit_length() + 1 + spare  # 2 k**2 <= 2**bits, the width bound's premise
-    enc = power_enclosure(p, q, k, bits)
+    lo, hi = power_enclosure(p, q, k, bits)  # integer endpoints over 2**bits
     exact = Fraction(p, q) ** k
-    assert enc.lo <= exact <= enc.hi
-    assert enc.hi - enc.lo <= 4 * k * exact / 2**bits
+    assert lo <= exact * 2**bits <= hi
+    assert hi - lo <= 4 * k * exact
 
 
 def test_power_enclosure_edges():
-    assert power_enclosure(7, 0, 0, 10) == IntervalValue.point(1)  # b = n: W = n**n
-    assert power_enclosure(5, 5, 300, 12) == IntervalValue.point(1)
-    assert power_enclosure(6, 3, 200, 8) == IntervalValue.point(2**200)  # exact on the grid
+    assert power_enclosure(7, 0, 0, 10) == (2**10, 2**10)  # b = n: W = n**n
+    assert power_enclosure(5, 5, 300, 12) == (2**12, 2**12)
+    assert power_enclosure(6, 3, 200, 8) == (2**208, 2**208)  # exact on the grid
+    # 3/2, its squares and the first products are exact on the grid, the last product is not
+    lo, hi = power_enclosure(3, 2, 15, 9)
+    assert lo < Fraction(3, 2) ** 15 * 2**9 < hi
     with pytest.raises(ValueError):
         power_enclosure(2, 3, 5, 40)
