@@ -19,7 +19,7 @@ fallback for a proof that fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import kernel, poisson
 from .backend import Rat, decimal_str
@@ -32,8 +32,7 @@ VERIFIED = "verified"
 VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class RangeSpec:
+class RangeSpec(NamedTuple):
     """A scanned (b, n) range; `kind` names the band constraint used."""
 
     kind: str
@@ -46,13 +45,18 @@ class RangeSpec:
         return f"{self.kind}: b in [{self.b_lo}, {self.b_hi}], n in [{self.n_lo}, {self.n_hi}]"
 
 
-@dataclass
 class InequalityCertificate:
-    claim_id: str
-    range: RangeSpec
-    status: str = VERIFIED
-    witnesses: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+    """One claim over one range, verified unless :meth:`finish` finds a
+    witness; ``extra`` holds a check's side results, such as per-b thresholds."""
+
+    __slots__ = ("claim_id", "range", "status", "witnesses", "extra")
+
+    def __init__(self, claim_id: str, range: RangeSpec):
+        self.claim_id = claim_id
+        self.range = range
+        self.status = VERIFIED
+        self.witnesses = []
+        self.extra = {}
 
     def record_violation(self, b: int, n: int, lhs, rhs, note: str = "") -> None:
         self.witnesses.append(

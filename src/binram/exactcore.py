@@ -12,7 +12,7 @@ whose monotonicity in b and n is what the certificate suites verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backend import Rat
 
@@ -23,20 +23,19 @@ class DomainError(ValueError):
     """Input outside an operation's stated domain."""
 
 
-@dataclass(frozen=True)
 class BinomialSpec:
     """The pair (b, n) identifying X ~ Bin(n, b/n) with 1 <= b <= n."""
 
-    b: int
-    n: int
+    __slots__ = ("b", "n")
 
-    def __post_init__(self):
-        if not (1 <= self.b <= self.n):
-            raise DomainError(f"need 1 <= b <= n, got b={self.b}, n={self.n}")
+    def __init__(self, b: int, n: int):
+        if not (1 <= b <= n):
+            raise DomainError(f"need 1 <= b <= n, got b={b}, n={n}")
+        self.b = b
+        self.n = n
 
 
-@dataclass(frozen=True)
-class TailValue:
+class TailValue(NamedTuple):
     """Exact tail p = P(X < b), pmf at b, and the ratio z for one spec."""
 
     spec: BinomialSpec

@@ -19,7 +19,7 @@ is delegated to the exact path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .backend import Rat
 from .exactcore import EXACT_CUTOFF, BinomialSpec, DomainError, tail_pmf_head, z_diff_sign_exact
@@ -124,8 +124,7 @@ def claim5_residual(b: int, n: int, policy: PrecisionPolicy = DEFAULT_POLICY):
     raise PrecisionError(f"residual at (b={b}, n={n}) stayed below the enclosure width")
 
 
-@dataclass
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Where the sign of z(b+1, n) - z(b, n) flips, against sqrt(77 n / 360)."""
 
     n: int
@@ -134,9 +133,9 @@ class ThresholdReport:
     predicted: float
     ratio_low: float
     ratio_high: float
-    sign_changes: list = field(default_factory=list)  # (b, sign_before, sign_after)
-    inconclusive_points: list = field(default_factory=list)
-    window: tuple = (0, 0)
+    sign_changes: list  # (b, sign_before, sign_after)
+    inconclusive_points: list
+    window: tuple
 
 
 def theorem2_threshold(

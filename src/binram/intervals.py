@@ -18,20 +18,32 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .backend import Rat, as_rat
 
-@dataclass(frozen=True)
+
 class IntervalValue:
-    """Closed interval with exact rational endpoints enclosing a real."""
+    """Closed interval with exact rational endpoints enclosing a real.
 
-    lo: object
-    hi: object
+    Never changed once built; two intervals are equal, and hash alike, when
+    their endpoints are.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        if lo > hi:
+            raise ValueError(f"empty interval: [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalValue):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, x) -> "IntervalValue":

@@ -18,7 +18,7 @@ kernel over the cell [1-(b+1)/n, 1-b/n].  This module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backend import Rat, as_rat
 from .exactcore import BinomialSpec, DomainError, falling, tail_value
@@ -31,8 +31,7 @@ class ResourceError(RuntimeError):
 ORACLE_MAX_N = 60  # cost guard for full polynomial expansion
 
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
+class IntegerPolynomial(NamedTuple):
     """Dense polynomial sum(coeffs[k] * z**k) with integer coeffs."""
 
     coeffs: tuple
@@ -51,8 +50,7 @@ class IntegerPolynomial:
         return IntegerPolynomial(d)
 
 
-@dataclass(frozen=True)
-class DeltaCell:
+class DeltaCell(NamedTuple):
     """The integration cell [1-(b+1)/n, 1-b/n]; width exactly 1/n."""
 
     lo: object

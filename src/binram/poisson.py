@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backend import Rat
 from .exactcore import DomainError, falling
@@ -185,8 +185,7 @@ def beta_upper_bound(digits: int = 40) -> IntervalValue:
     return 4 * root.reciprocal() - 1
 
 
-@dataclass(frozen=True)
-class PoissonSummary:
+class PoissonSummary(NamedTuple):
     """All enclosed quantities for one b."""
 
     b: int

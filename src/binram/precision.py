@@ -7,14 +7,11 @@ often they may double before a result is reported inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class PrecisionError(RuntimeError):
     """Raised when the precision budget is exhausted before a conclusive result."""
 
 
-@dataclass(frozen=True)
 class PrecisionPolicy:
     """Working-precision budget.
 
@@ -22,14 +19,15 @@ class PrecisionPolicy:
     max_escalations: how many times precision may double before giving up.
     """
 
-    digits: int = 60
-    max_escalations: int = 4
+    __slots__ = ("digits", "max_escalations")
 
-    def __post_init__(self):
-        if self.digits < 30:
+    def __init__(self, digits: int = 60, max_escalations: int = 4):
+        if digits < 30:
             raise ValueError("digits must be >= 30")
-        if self.max_escalations < 1:
+        if max_escalations < 1:
             raise ValueError("max_escalations must be >= 1")
+        self.digits = digits
+        self.max_escalations = max_escalations
 
     def escalation_digits(self):
         """Yield the digit counts of successive attempts: d, 2d, 4d, ..."""

@@ -11,17 +11,22 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .backend import as_rat, decimal_str, rat_str
 
 CSV_HEADER = ["claim_id", "b", "n", "status", "lhs", "rhs", "raw_lhs", "raw_rhs"]
 SCAN_P_HEADER = ["claim_id", "b", "n", "sign", "boundary_ok"]
+_MEMBER = ",\n      "  # between two members of a row: depth 3 of an indent=2 report
+_ROWS = json.JSONEncoder(sort_keys=True, default=str, separators=(_MEMBER, ": "))
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    """One failed (or otherwise notable) comparison at a single point."""
+class ViolationReport(NamedTuple):
+    """One failed (or otherwise notable) comparison at a single point.
+
+    A named tuple: compared and hashed by its fields, and built back from a
+    report's JSON by ``ViolationReport(**item)``.
+    """
 
     claim_id: str
     b: int
@@ -39,22 +44,52 @@ class ViolationReport:
                    note)
 
     def as_row(self) -> list:
-        return ["violation", self.claim_id, self.b, self.n, self.lhs, self.rhs,
-                self.raw_lhs, self.raw_rhs, self.note]
+        return ["violation", *self]
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
 class Report:
-    """A full run: metadata, result rows, violations and inconclusive count."""
+    """A full run: metadata, result rows, violations and inconclusive count.
 
-    meta: dict
-    header: list
-    results: list = field(default_factory=list)  # list of row lists
-    violations: list = field(default_factory=list)  # list of ViolationReport
-    inconclusive: int = 0
+    Rows are flat: each is a list of values aligned with a non-empty
+    ``header`` of names, and every value is a scalar -- a str, int, float,
+    bool or None, or an object such as a ``Fraction`` that the JSON encoder
+    renders with ``str``.  Every producer in the package emits str, int and
+    bool only, and :meth:`read`, the one place rows come from outside,
+    refuses anything else.
+
+    On flat rows :meth:`to_json` is exactly
+    ``json.dumps(doc, indent=2, sort_keys=True, default=str) + "\\n"`` for
+    doc = {"inconclusive", "meta", "results", "violations"}.  The four keys
+    are written in sorted order, and every value but ``results`` is
+    json.dumps(value, indent=2) with two more spaces after each newline
+    (every newline there is layout, see below).  The
+    rows go through the C encoder in one pass, with ``_MEMBER`` -- the
+    newline and indent that indent=2 puts between two members of a row -- as
+    the item separator.  Proof that the result is the indent=2 text: the two
+    encoders sort the keys and spell every scalar alike (one string escaper,
+    ``int.__repr__``, ``float.__repr__``, the same ``default``).  A flat row
+    holds no list or object, so ``_MEMBER`` stands only between its members
+    and between rows, and a row encodes as ``{`` + members + ``}``: its
+    indent=2 text without the newline and indent after ``{`` and before
+    ``}``.  An encoded string escapes every newline, so ``}`` + ``_MEMBER``
+    + ``{`` occurs only between two rows, and putting back the missing
+    newlines and indents there and at the two brackets changes nothing else.
+    A non-empty header keeps every row non-empty; ``{}`` would be written
+    without those newlines.
+    """
+
+    __slots__ = ("meta", "header", "results", "violations", "inconclusive")
+
+    def __init__(self, meta: dict, header: list, results: list | None = None,
+                 inconclusive: int = 0):
+        self.meta = meta
+        self.header = header
+        self.results = [] if results is None else results  # list of row lists
+        self.violations = []  # list of ViolationReport
+        self.inconclusive = inconclusive
 
     def exit_code(self) -> int:
         return 1 if self.violations else 2 if self.inconclusive else 0
@@ -71,13 +106,15 @@ class Report:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        doc = {
-            "meta": self.meta,
-            "results": [dict(zip(self.header, row)) for row in self.results],
-            "violations": [v.as_dict() for v in self.violations],
-            "inconclusive": self.inconclusive,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+        rows = _ROWS.encode([dict(zip(self.header, row)) for row in self.results])
+        if self.results:
+            rows = ("[\n    {\n      "
+                    + rows[2:-2].replace("}" + _MEMBER + "{", "\n    },\n    {\n      ")
+                    + "\n    }\n  ]")
+        return (f'{{\n  "inconclusive": {_nested(self.inconclusive)},\n'
+                f'  "meta": {_nested(self.meta)},\n'
+                f'  "results": {rows},\n'
+                f'  "violations": {_nested([v.as_dict() for v in self.violations])}\n}}\n')
 
     def render(self, fmt: str) -> str:
         return self.to_csv() if fmt == "csv" else self.to_json()
@@ -99,20 +136,31 @@ class Report:
     @classmethod
     def read(cls, path: str) -> "Report":
         """A report from the JSON that to_json writes; a document of any other
-        shape is a ValueError naming the path."""
+        shape, rows that are not flat (see :class:`Report`) among them, is a
+        ValueError naming the path."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         try:
             meta = doc.get("meta", {})
             rows = doc.get("results", [])
             header = meta.get("header") or (list(rows[0].keys()) if rows else CSV_HEADER)
+            if not (header and isinstance(header, list) and all(isinstance(k, str) for k in header)):
+                raise ValueError(f"header {header!r} is not a non-empty list of names")
             report = cls(meta=meta, header=header)
             report.results = [[row.get(key, "") for key in header] for row in rows]
+            for row in report.results:
+                if any(isinstance(value, (list, dict)) for value in row):
+                    raise ValueError(f"row {row!r} holds a list or an object")
             report.violations = [ViolationReport(**item) for item in doc.get("violations", [])]
             report.inconclusive = int(doc.get("inconclusive", 0))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a binram JSON report ({exc!r})") from None
         return report
+
+
+def _nested(value) -> str:
+    """json.dumps(value, indent=2) as it reads one level into a report."""
+    return json.dumps(value, indent=2, sort_keys=True, default=str).replace("\n", "\n  ")
 
 
 def _order(x) -> tuple:

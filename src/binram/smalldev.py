@@ -14,24 +14,23 @@ used by tests lives with the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .backend import Rat, as_rat
 from .exactcore import DomainError, tail_pmf_numerators
 from .report import ViolationReport
 
 
-@dataclass(frozen=True)
 class TwoPointDist:
     """Unit-mean distribution on {alpha, beta} with 0 <= alpha < 1 < beta."""
 
-    alpha: object
-    beta: object
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        a, b = as_rat(self.alpha), as_rat(self.beta)
+    def __init__(self, alpha, beta):
+        a, b = as_rat(alpha), as_rat(beta)
         if not (0 <= a < 1 < b):
             raise DomainError(f"need 0 <= alpha < 1 < beta, got {a}, {b}")
+        self.alpha = alpha
+        self.beta = beta
 
     @property
     def p_beta(self):
@@ -48,18 +47,18 @@ def _shift(c) -> tuple:
     return int(c.numerator), int(c.denominator)
 
 
-@dataclass(frozen=True)
 class SmallDevSpec:
     """Shift c > 0 and the pair (b, n) of the shifted binomial Bin(n, b/(n+c))."""
 
-    c: object
-    b: int
-    n: int
+    __slots__ = ("c", "b", "n")
 
-    def __post_init__(self):
-        _shift(self.c)
-        if not (1 <= self.b <= self.n):
+    def __init__(self, c, b: int, n: int):
+        _shift(c)
+        if not (1 <= b <= n):
             raise DomainError("need 1 <= b <= n")
+        self.c = c
+        self.b = b
+        self.n = n
 
 
 def binomial_tail_below(n: int, q, b: int):
@@ -146,15 +145,18 @@ def verify_samuels(n_max: int):
     return violations
 
 
-@dataclass
 class ConjectureScanResult:
-    """Grid scan of the two-point minimum against the shifted-tail family."""
+    """Grid scan of the two-point minimum against the shifted-tail family;
+    the scan appends to the two lists and counts the degenerate points."""
 
-    n: int
-    grid_step: object
-    violations: list = field(default_factory=list)
-    equality_witnesses: list = field(default_factory=list)  # (alpha, beta, b)
-    degenerate_points: int = 0  # b > n: both tails are exactly 1
+    __slots__ = ("n", "grid_step", "violations", "equality_witnesses", "degenerate_points")
+
+    def __init__(self, n: int, grid_step):
+        self.n = n
+        self.grid_step = grid_step
+        self.violations = []
+        self.equality_witnesses = []  # (alpha, beta, b)
+        self.degenerate_points = 0  # b > n: both tails are exactly 1
 
 
 def conjecture_grid(n: int, grid_step) -> tuple:

@@ -112,6 +112,12 @@ def test_verify_n_max_one_still_covers_lemma1_at_b_one(monkeypatch, capsys):
     {"results": [], "violations": [{"claim_id": "x", "bogus": 1}]},
     {"results": [["thm3", 1, 2]]},
     {"results": [], "violations": [], "inconclusive": "some"},
+    # rows must be flat, under a header of names
+    {"results": [{"claim_id": "x", "b": [1, 2], "n": 3}]},
+    {"results": [{"claim_id": {"a": 1}}]},
+    {"meta": {"header": ["claim_id", "b"]}, "results": [{"b": {}}]},
+    {"results": [{}]},
+    {"meta": {"header": ["b", 1]}, "results": [{"b": 1}]},
 ])
 def test_report_merge_rejects_malformed_input(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"

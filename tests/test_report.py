@@ -2,8 +2,11 @@
 writes, and merge constraints."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binram.backend import Rat
 from binram.report import CSV_HEADER, Report, ViolationReport, merge_reports
@@ -104,3 +107,62 @@ def test_merge_rejects_mismatched_schemas():
 
 def test_merge_empty():
     assert merge_reports([]).exit_code() == 0
+
+
+# -- the JSON renderer against json.dumps(indent=2) -----------------------------
+
+
+def reference_json(rep) -> str:
+    """The layout to_json must match byte for byte."""
+    doc = {
+        "meta": rep.meta,
+        "results": [dict(zip(rep.header, row)) for row in rep.results],
+        "violations": [v.as_dict() for v in rep.violations],
+        "inconclusive": rep.inconclusive,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+
+
+def odd_values_report():
+    header = ["claim_id", "b", "n", "note", "flag", "x"]
+    rep = Report(meta={"command": "odd", "window": [3, [4, 5]], "nested": {"z": [], "a": {}},
+                       "step": Fraction(1, 20)}, header=header)
+    rep.results = [
+        ["q\"uote", 1, 2, "back\\slash and \\n", True, 0.1],
+        ["ctrl\x00\x1f\t\r\n", -3, 10**40, "caf\u00e9 \u2211 \U0001f600", False, float("inf")],
+        ["}, {", 0, 1, "},\n      {", None, Fraction(-7, 3)],
+        ["", 5, 6, "", 1, -0.0],
+    ]
+    rep.violations = [ViolationReport.from_rationals("c", 1, 2, Rat(1, 3), Rat(1, 2), note="a\nb"),
+                      ViolationReport("c", "x", "y", "0", "1", "0/1", "1/1")]
+    rep.inconclusive = 4
+    return rep
+
+
+@pytest.mark.parametrize("rep", [
+    merge_reports([]),
+    make_report([]),
+    make_report([["c", 1, 2, 1]]),
+    make_report([["c", 1, 2, 1], ["c", 1, 3, -1]],
+                violations=[ViolationReport.from_rationals("c", 1, 2, Rat(0), Rat(1))],
+                inconclusive=2),
+    Report(meta={}, header=["only"], results=[["one"], [2], [None]]),
+    odd_values_report(),
+], ids=["merged-none", "no-rows", "one-row", "violations", "one-column", "odd-values"])
+def test_to_json_is_the_indented_dump(rep):
+    assert rep.to_json() == reference_json(rep)
+
+
+scalars = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                    st.floats(), st.fractions())
+
+
+@given(st.lists(st.text(), min_size=1, max_size=6, unique=True).flatmap(
+    lambda header: st.tuples(st.just(header),
+                             st.lists(st.lists(scalars, min_size=len(header),
+                                               max_size=len(header)), max_size=6))))
+@settings(max_examples=200, deadline=None)
+def test_to_json_matches_the_indented_dump_on_flat_rows(header_rows):
+    header, rows = header_rows
+    rep = Report(meta={"header": header}, header=header, results=rows)
+    assert rep.to_json() == reference_json(rep)

@@ -1,6 +1,6 @@
 """Start-up: importing the package, the CLI or the enclosure path loads neither
-mpmath nor the process pool, yet the CLI still loads every module perfbench's
-tracer patches.
+mpmath nor the process pool, nor dataclasses and the inspect machinery it
+pulls in, yet the CLI still loads every module perfbench's tracer patches.
 
 Each check runs in a fresh interpreter, since this one has long since
 imported everything.  The tracer module is loaded from its file and only
@@ -18,7 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
-DEFERRED = ("mpmath", "concurrent.futures.process", "multiprocessing")
+DEFERRED = ("mpmath", "concurrent.futures.process", "multiprocessing", "dataclasses", "inspect")
 
 
 def load_tracer():
