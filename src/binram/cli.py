@@ -4,18 +4,20 @@ Subcommands run the suites of binram.certificates, shared with the acceptance
 tests, at the CLI's ranges and emit deterministic CSV or JSON reports (fixed
 row ordering, no timestamps in the data section); a range with no point to
 check is a usage error.  Exit codes: 0 clean, 1 violations found, 2
-inconclusive results only, 64 usage error, 70 resource guard exceeded.
-
-A process loads the process pool only for ``--workers`` above 1.
+inconclusive results only, 64 usage error, 70 resource guard exceeded or a
+``--workers`` child failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import marshal
+import os
 import sys
 
 EXIT_USAGE = 64  # 0, 1 and 2 come from Report.exit_code
 EXIT_RESOURCE = 70
+_SIGKILL = 9  # signal.SIGKILL wherever os.fork exists; importing signal costs about 1 ms
 
 try:
     from .backend import BACKEND, Rat, as_rat
@@ -51,17 +53,6 @@ from .smalldev import (
     tilde_p_monotonicity_scan,
     verify_samuels,
 )
-
-
-def __getattr__(name):
-    """The module attribute ``ProcessPoolExecutor``, imported on first use,
-    so that only ``--workers`` above 1 loads multiprocessing.  ``_signs_by_n``
-    builds its pool from this attribute, so rebinding it (to a subclass that
-    times the pool, say) reaches every pool the CLI makes."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,18 +205,145 @@ def _meta(args, **extra) -> dict:
 # -- scans ----------------------------------------------------------------------
 
 
+class ProcessPoolExecutor:
+    """binram's own fork pool for ``--workers K``, K counting this process.
+
+    ``map(fn, items)`` deals the items to min(K, len(items)) shares in snake
+    order (share 0, 1, ..., K-1, then K-1, ..., 0, and so on), forks one
+    child for each share after the first, computes the first share in this
+    process, and reads each child's results, marshalled, from a pipe in one
+    message; it returns the results in item order.  A child leaves by
+    ``os._exit`` and never returns into the caller's stack.  A share that
+    raises, a child that dies and a failed fork each raise ResourceError
+    naming the worker; on every path ``__exit__`` kills and reaps each child
+    still there before the exception leaves the ``with`` block.  Results
+    must be marshallable (ints, strings, lists and the like); the scans
+    return lists of ints.
+
+    The pool forks rather than spawns: a child shares the imported modules
+    and needs none of the start-up that a spawned worker, or the stdlib
+    pool with its multiprocessing import, would pay again.  The CLI runs no
+    threads, so the fork copies a consistent interpreter.  The class keeps
+    the name and the ``max_workers=`` constructor of the stdlib pool it
+    replaced, because perfbench's tracer times every pool the CLI makes by
+    rebinding this module attribute to a subclass.
+    """
+
+    def __init__(self, max_workers: int):
+        self._max_workers = max_workers
+        self._children = []  # (share number, pid, read end of its pipe), not yet reaped
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._reap()
+
+    def _reap(self):
+        """Kill and reap every child not yet reaped, and close its pipe."""
+        while self._children:
+            _, pid, reader = self._children.pop()
+            os.close(reader)
+            os.kill(pid, _SIGKILL)  # a child that has exited stays a zombie till reaped
+            os.waitpid(pid, 0)
+
+    def map(self, fn, items) -> list:
+        items = list(items)
+        k = max(1, min(self._max_workers, len(items)))
+        shares = [[] for _ in range(k)]
+        for i in range(len(items)):
+            lap, j = divmod(i, k)
+            shares[k - 1 - j if lap % 2 else j].append(i)
+        for number in range(1, k):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(reader)
+                os.close(writer)
+                raise ResourceError(f"cannot fork worker {number + 1} of {k}: {exc}") from None
+            if pid == 0:
+                _run_share(fn, items, shares[number], writer,
+                           [reader] + [r for _, _, r in self._children])
+            os.close(writer)
+            self._children.append((number, pid, reader))
+        results, failure = [None] * len(items), None
+        try:
+            for i in shares[0]:
+                results[i] = fn(items[i])
+        except Exception as exc:
+            failure = 0, f"raised {type(exc).__name__}: {exc}"
+        while failure is None and self._children:
+            number, pid, reader = self._children[0]
+            with open(reader, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del self._children[0]
+            os.close(reader)
+            if code:
+                failure = number, (f"was killed by signal {-code}" if code < 0
+                                   else f"exited with code {code}")
+                continue
+            ok, value = marshal.loads(data)
+            if ok:
+                for i, result in zip(shares[number], value):
+                    results[i] = result
+            else:
+                failure = number, f"raised {value}"
+        if failure is None:
+            return results
+        number, what = failure
+        share = shares[number]
+        listed = ", ".join(str(items[i]) for i in share[:4]) + (", ..." if len(share) > 4 else "")
+        raise ResourceError(f"--workers: the share of worker {number + 1} of {k} "
+                            f"({len(share)} items: {listed}) {what}")
+
+
+def _run_share(fn, items: list, share: list, writer: int, readers: list):
+    """In a forked child: close the inherited read ends, so that a write to a
+    parent that has died fails rather than blocks; send (True, the results of
+    fn on the share's items), or (False, the error) if fn raises, through the
+    pipe; then leave the process, whatever happened."""
+    code = 1
+    try:
+        for reader in readers:
+            os.close(reader)
+        try:
+            payload = True, [fn(items[i]) for i in share]
+        except Exception as exc:
+            payload = False, f"{type(exc).__name__}: {exc}"
+        with open(writer, "wb") as pipe:
+            pipe.write(marshal.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _signs_by_n(row, n_max: int, workers: int) -> list:
     """(n, row(n)) for n = 2..n_max in increasing n.
 
-    The cost of a row grows steeply with n, so a pool gets one task per n,
-    largest first: no worker is left alone with the big rows at the end.
+    With ``workers`` K above 1, K processes compute the rows (fewer if there
+    are fewer rows): this one and K - 1 forked children of
+    ``ProcessPoolExecutor``, each a fixed share dealt in snake order from the rows taken largest first, n = n_max,
+    n_max - 1, ...  The snake balances the shares although the cost c(n) of
+    a row grows steeply with n.  Each pair of laps deals a block of 2K
+    consecutive rows, n = t, t-1, ..., t-2K+1, and gives share j the rows
+    t - j and t - (2K-1-j), whose n sum to 2t - 2K + 1 for every j.  So for a
+    cost linear over the block every share gets the same, and for a smooth
+    convex cost the shares differ by about c''·K² per pair of laps, against
+    the c'·(K-1) more that a plain round-robin deal gives share 0 in every
+    lap.  The last, partial laps hold the cheapest rows.  Each child sends
+    its share back in one message, so there is no per-row messaging, and the
+    parent is not left idle.
     """
     if workers < 1:
         raise DomainError(f"--workers must be >= 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise DomainError("--workers above 1 needs os.fork, which this platform lacks")
     ns = range(n_max, 1, -1)
     if workers > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, ns))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = pool.map(row, ns)
     else:
         rows = [row(n) for n in ns]
     return list(zip(ns, rows))[::-1]

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -295,9 +296,13 @@ def test_pinned_report_digests(argv, code, digest, capsys):
 
 
 def test_workers_do_not_change_output(capsys):
-    _, serial = run_cli(["scan-p", "--n-max", "50"], capsys)
-    _, parallel = run_cli(["scan-p", "--n-max", "50", "--workers", "3"], capsys)
-    assert serial == parallel
+    # n_max 2, 3 and 4 leave some of K = 3 or 8 shares with one row or none; 1 has no row
+    for command in ("scan-p", "scan-z"):
+        for n_max in ("1", "2", "3", "4", "9", "50"):
+            serial = run_cli([command, "--n-max", n_max], capsys)
+            for workers in ("2", "3", "8"):
+                parallel = run_cli([command, "--n-max", n_max, "--workers", workers], capsys)
+                assert serial == parallel, (command, n_max, workers)
 
 
 def test_pool_is_built_through_the_module_attribute(monkeypatch, capsys):
@@ -315,6 +320,90 @@ def test_pool_is_built_through_the_module_attribute(monkeypatch, capsys):
     _, parallel = run_cli(["scan-p", "--n-max", "40", "--workers", "2"], capsys)
     assert built == [{"max_workers": 2}]
     assert parallel == serial
+
+
+def _fail_in_child(n):
+    raise RuntimeError(f"row {n} failed")
+
+
+def _exit_in_child(n):
+    os._exit(3)
+
+
+def _kill_in_child(n):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("fault, where, what", [
+    (_fail_in_child, "child", "raised RuntimeError: row 11 failed"),
+    (_exit_in_child, "child", "exited with code 3"),
+    (_kill_in_child, "child", f"was killed by signal {signal.SIGKILL.value}"),
+    (_fail_in_child, "parent", "raised RuntimeError: row 12 failed"),
+], ids=["child-raises", "child-exits-3", "child-killed", "parent-raises"])
+def test_a_failed_worker_exits_70_and_leaves_no_child(fault, where, what, monkeypatch, capsys):
+    parent, rows = os.getpid(), cli.p_diff_signs
+
+    def row(n):
+        # the fault runs only where it is meant to: never os._exit the test process
+        if (os.getpid() == parent) == (where == "parent"):
+            fault(n)
+        return rows(n)
+
+    monkeypatch.setattr(cli, "p_diff_signs", row)
+    code = main(["scan-p", "--n-max", "12", "--workers", "3"])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    # snake order deals n = 12, 11, 10 | 9, 8, 7 | 6, 5, 4 | 3, 2 to shares 0, 1, 2 | 2, 1, 0 | ...
+    share = "worker 1 of 3 (3 items: 12, 7, 6)" if where == "parent" else \
+        "worker 2 of 3 (4 items: 11, 8, 5, 2)"
+    assert captured.err == f"binram: resource guard: --workers: the share of {share} {what}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_fork_exits_70_and_leaves_no_child(monkeypatch, capsys):
+    calls, fork = [], os.fork
+
+    def fork_once():
+        calls.append(1)
+        if len(calls) > 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    code = main(["scan-p", "--n-max", "12", "--workers", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, len(calls)) == (70, "", 2)
+    assert captured.err == ("binram: resource guard: cannot fork worker 3 of 3: "
+                            "[Errno 11] Resource temporarily unavailable\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n_max, workers, forks", [("4", "8", 2), ("2", "8", 0), ("12", "3", 2)])
+def test_no_more_forks_than_rows(n_max, workers, forks, monkeypatch, capsys):
+    calls, fork = [], os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    code, _ = run_cli(["scan-p", "--n-max", n_max, "--workers", workers], capsys)
+    assert code == 0
+    assert len(calls) == forks
+
+
+def test_workers_need_fork(monkeypatch, capsys):
+    _, serial = run_cli(["scan-p", "--n-max", "20"], capsys)
+    monkeypatch.delattr(os, "fork")
+    code = main(["scan-p", "--n-max", "20", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == "binram: --workers above 1 needs os.fork, which this platform lacks\n"
+    assert run_cli(["scan-p", "--n-max", "20", "--workers", "1"], capsys) == (0, serial)
 
 
 def test_json_schema(capsys):

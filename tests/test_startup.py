@@ -38,7 +38,8 @@ def modules_after(statement: str) -> set:
 
 
 @pytest.mark.parametrize("statement", ["import binram", "import binram.cli",
-                                       "import binram.highprec"])
+                                       "import binram.highprec",
+                                       "import binram.cli; binram.cli.ProcessPoolExecutor"])
 def test_import_defers_mpmath_and_the_pool(statement):
     assert sorted(modules_after(statement).intersection(DEFERRED)) == []
 
