@@ -49,15 +49,14 @@ def as_rat(x) -> "Rat":
     return Rat(x)
 
 
-def decimal_str(q, digits: int = 24) -> str:
-    """Display-only decimal rendering of a rational, round-toward-zero."""
+def decimal_str(q) -> str:
+    """Display-only decimal rendering of a rational to 24 places, round-toward-zero."""
     q = as_rat(q)
     sign = "-" if q < 0 else ""
     q = abs(q)
-    scale = 10**digits
-    scaled = (q.numerator * scale) // q.denominator
-    whole, frac = divmod(scaled, scale)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    scaled = (q.numerator * 10**24) // q.denominator
+    whole, frac = divmod(scaled, 10**24)
+    return f"{sign}{whole}.{str(frac).zfill(24)}"
 
 
 def rat_str(q) -> str:

@@ -8,8 +8,9 @@ Each certificate checker verifies one labeled inequality family over an
 explicit range in exact integer/rational arithmetic and returns an
 :class:`InequalityCertificate`: verified (no witnesses) or violated
 (witnesses listed with both sides exact).  Their only non-rational
-ingredient is the certified bracket around e, which enters two
-boundary-case bounds through interval arithmetic.
+ingredient is the certified bracket around e, which enters three
+boundary-case bounds (_ineq1, _ineq2 and _top_boundary_coeffs) through
+interval arithmetic.
 
 The Appendix C polynomial families are proved positive from their first
 few points by :func:`_positive_from` (Newton's forward-difference formula);
@@ -36,37 +37,35 @@ class RangeSpec(NamedTuple):
     """A scanned (b, n) range; `kind` names the band constraint used."""
 
     kind: str
-    b_lo: int = 0
-    b_hi: int = 0
-    n_lo: int = 0
-    n_hi: int = 0
+    b_lo: int
+    b_hi: int
+    n_lo: int
+    n_hi: int
 
     def describe(self) -> str:
         return f"{self.kind}: b in [{self.b_lo}, {self.b_hi}], n in [{self.n_lo}, {self.n_hi}]"
 
 
 class InequalityCertificate:
-    """One claim over one range, verified unless :meth:`finish` finds a
-    witness; ``extra`` holds a check's side results, such as per-b thresholds."""
+    """One claim over one range: violated while it holds a witness, else
+    verified; ``extra`` holds a check's side results, such as per-b thresholds."""
 
-    __slots__ = ("claim_id", "range", "status", "witnesses", "extra")
+    __slots__ = ("claim_id", "range", "witnesses", "extra")
 
     def __init__(self, claim_id: str, range: RangeSpec):
         self.claim_id = claim_id
         self.range = range
-        self.status = VERIFIED
         self.witnesses = []
         self.extra = {}
+
+    @property
+    def status(self) -> str:
+        return VIOLATED if self.witnesses else VERIFIED
 
     def record_violation(self, b: int, n: int, lhs, rhs, note: str = "") -> None:
         self.witnesses.append(
             ViolationReport.from_rationals(self.claim_id, b, n, lhs, rhs, note=note)
         )
-
-    def finish(self) -> "InequalityCertificate":
-        if self.witnesses:
-            self.status = VIOLATED
-        return self
 
 
 def _tail_positive(coeffs: list, at: int) -> bool:
@@ -179,7 +178,7 @@ def check_small_b(
             if not (h2 > 0 and hv > 0 and hs > 0):
                 cert.record_violation(b, 3 * b + 2, hv, 0, note="side-condition")
     cert.extra["sufficient_form_failures"] = poly_fail
-    return cert.finish()
+    return cert
 
 
 R_DEGREE = 2  # kernel.eval_R(b, n) is a quadratic in b at each n
@@ -201,7 +200,7 @@ def check_r_positivity(n_max: int = 500) -> InequalityCertificate:
             r = kernel.eval_R(b, n)
             if not r > 0:
                 cert.record_violation(b, n, r, 0)
-    return cert.finish()
+    return cert
 
 
 # -- medium b ------------------------------------------------------------------
@@ -252,7 +251,7 @@ def check_medium(
             lo_val, hi_val = _medium_q(b, 2 * b), _medium_q(b, 3 * b + 1)
             if not (_medium_lead(b) > 0 and lo_val < 0 and hi_val < 0):
                 cert.record_violation(b, 2 * b, lo_val, 0, note="convexity-endpoints")
-    return cert.finish()
+    return cert
 
 
 # -- above n/2 -----------------------------------------------------------------
@@ -318,7 +317,7 @@ def check_above_half(bt_lo: int = 5, bt_hi: int = 10**3, spot_stride: int = 37) 
             if not _above_half_cleared(bt, n) < 0:
                 cert.record_violation(bt, n, above_half_bracket(bt, n), 0, note="direct-spot")
     cert.extra["direct_spots"] = spots
-    return cert.finish()
+    return cert
 
 
 # -- rational-power exponential bounds ----------------------------------------
@@ -377,7 +376,7 @@ def check_exp_bounds(n_max: int = EXACT_CUTOFF) -> InequalityCertificate:
         for b, n, lhs, rhs, note in _exp_bounds_sides(n_max):
             if not lhs < rhs:
                 cert.record_violation(b, n, lhs, rhs, note=note)
-    return cert.finish()
+    return cert
 
 
 # -- z difference lower bound --------------------------------------------------
@@ -483,24 +482,24 @@ def check_z_lowerbound(
         diag[n] = _z_bound_gap(b, n, u, n_b, n_b1) <= 0
     cert.extra["thresholds"] = thresholds
     cert.extra["diagonal_holds"] = diag
-    return cert.finish()
+    return cert
 
 
 # -- boundary cases (b <= 5 and b >= n-5) ---------------------------------------
 
 
-def _ineq1(n: int, e: IntervalValue, c: int = 2300) -> IntervalValue:
+def _ineq1(n: int, e: IntervalValue) -> IntervalValue:
     return (
         Rat(899, 5)
         - e * Rat(523, 8)
-        + (Rat(20531 * 6 - c) - e * Rat(9025 * 5)) * Rat(1, 60 * (n - 5))
+        + (Rat(20531 * 6 - 2300) - e * Rat(9025 * 5)) * Rat(1, 60 * (n - 5))
     )
 
 
-def _ineq2(n: int, e: IntervalValue, c: int = 2300) -> IntervalValue:
+def _ineq2(n: int, e: IntervalValue) -> IntervalValue:
     m = n - 5
     return (
-        Rat(c)
+        Rat(2300)  # the split constant C
         + (Rat(3 * 80527 * 4) - e * Rat(3 * 24625 * 5)) * Rat(1, 2 * m)
         + (Rat(5 * 11009 * 12) - e * Rat(5 * 63125)) * Rat(1, m**2)
         - (Rat(12 * 20529) - e * Rat(12 * 3125 * 5)) * Rat(1, m**3)
@@ -524,14 +523,14 @@ def _top_boundary_coeffs(e: IntervalValue) -> list:
     ]
 
 
-def check_boundary_cases(n_scan: int = 160, growth_samples: int = 10) -> InequalityCertificate:
+def check_boundary_cases(n_scan: int = 160) -> InequalityCertificate:
     """The b <= 5 and b >= n-5 boundary cases of the tail-difference theorem:
 
     (i) exact sign of the tail difference matches the 3b+2 boundary for
         b <= 5, n <= n_scan, and for every b < n <= 27 (so b >= n-5 there);
     (ii/iii) the printed big-integer brackets at n = 16..19 for b = 5;
-    (iv) positivity and sampled growth of the two split bounds at the
-        C = 2300 split, via the certified e bracket;
+    (iv) positivity and growth, at n = 20, 40, ..., 200, of the two split
+        bounds at the C = 2300 split, via the certified e bracket;
     (v) negativity of the top-boundary bound at n = 28, hence for all n >= 28.
     """
     rng = RangeSpec("boundary-cases", 1, 5, 2, n_scan)
@@ -543,10 +542,9 @@ def check_boundary_cases(n_scan: int = 160, growth_samples: int = 10) -> Inequal
     cert.witnesses.extend(part.violations)
 
     e = e_enclosure(terms_for_digits(40))
-    samples = [20 + k * (180 // max(1, growth_samples - 1)) for k in range(growth_samples)]
     for label, fn in (("ineq1", _ineq1), ("ineq2", _ineq2)):
         prev = None
-        for n in samples:
+        for n in range(20, 201, 20):
             val = fn(n, e)
             if n == 20 and not val.lo > 0:
                 cert.record_violation(5, n, val.lo, 0, note=f"{label}-positivity")
@@ -563,7 +561,7 @@ def check_boundary_cases(n_scan: int = 160, growth_samples: int = 10) -> Inequal
     for k, coeff in enumerate(coeffs[1:], start=1):
         if not coeff.lo > 0:
             cert.record_violation(23, 28, coeff.lo, 0, note=f"top-coeff-{k}")
-    return cert.finish()
+    return cert
 
 
 # -- root-location products ------------------------------------------------------
@@ -615,7 +613,7 @@ def check_root_bounds(b_hi: int = 10**4) -> InequalityCertificate:
         tail_ok = all(_tail_positive(list(coeffs), b_hi) for coeffs in factors)
         if not tail_ok:
             cert.record_violation(b_hi, 0, 0, 0, note=f"{claim}-tail")
-    return cert.finish()
+    return cert
 
 
 # -- claim suites --------------------------------------------------------------

@@ -483,9 +483,7 @@ def cmd_smalldev(args) -> int:
 
 def cmd_report_merge(args) -> int:
     reports = [Report.read(path) for path in args.inputs]
-    merged = merge_reports(reports)
-    merged.meta["header"] = merged.header
-    return _emit(merged, args)
+    return _emit(merge_reports(reports), args)
 
 
 _COMMANDS = {

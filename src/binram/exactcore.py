@@ -38,18 +38,9 @@ class BinomialSpec:
 class TailValue(NamedTuple):
     """Exact tail p = P(X < b), pmf at b, and the ratio z for one spec."""
 
-    spec: BinomialSpec
     p: object
     pmf_at_b: object
     z: object
-
-
-def falling(x: int, k: int) -> int:
-    """The falling factorial x (x-1) ... (x-k+1)."""
-    out = 1
-    for j in range(k):
-        out *= x - j
-    return out
 
 
 def tail_pmf_head(n: int, b: int, p: int, r: int) -> tuple:
@@ -121,8 +112,7 @@ def tail_value(spec: BinomialSpec) -> TailValue:
     n = spec.n
     t, pmf = tail_pmf_numerators(n, spec.b, spec.b, n)
     scale = n**n
-    return TailValue(spec=spec, p=Rat(t, scale), pmf_at_b=Rat(pmf, scale),
-                     z=Rat(scale - 2 * t, 2 * pmf))
+    return TailValue(p=Rat(t, scale), pmf_at_b=Rat(pmf, scale), z=Rat(scale - 2 * t, 2 * pmf))
 
 
 def ramanujan_z(spec: BinomialSpec):

@@ -136,20 +136,18 @@ def exp_neg1_enclosure(terms: int) -> IntervalValue:
     """Enclosure of 1/e from the alternating series sum (-1)^k / k!.
 
     Partial sums alternate around the limit, so consecutive partial sums
-    bracket it exactly.  Cached per ``terms``: every exp(-b) at one precision
-    powers the same bracket.
+    bracket it exactly.  With m = terms, the Horner steps acc <- acc k +
+    (-1)**k, k < m, from acc = 0 give acc = sum_{k<m} (-1)**k (m-1)!/k!: the
+    two sums are acc / (m-1)! and (m acc + (-1)**m) / m!.  Cached per
+    ``terms``: every exp(-b) at one precision powers the same bracket.
     """
     if terms < 3:
         raise ValueError("terms must be >= 3")
-    s = Rat(0)
-    fact = 1
-    term = Rat(0)
+    acc = 0
     for k in range(terms):
-        if k > 0:
-            fact *= k
-        term = Rat((-1) ** k, fact)
-        s += term
-    nxt = s + Rat((-1) ** terms, fact * terms if terms else 1)
+        acc = acc * k + (-1) ** k
+    s = Rat(acc, math.factorial(terms - 1))
+    nxt = Rat(acc * terms + (-1) ** terms, math.factorial(terms))
     # sign of the omitted term decides which side the partial sum sits on
     lo, hi = (s, nxt) if nxt > s else (nxt, s)
     return IntervalValue(lo, hi)
@@ -178,16 +176,15 @@ def exp_neg_enclosure(b: int, terms: int, digits: int) -> IntervalValue:
 
 
 def e_enclosure(terms: int) -> IntervalValue:
-    """Enclosure of e from sum 1/k! with remainder bound 1/(m! * m)."""
+    """Enclosure of e from sum 1/k!, k <= m = terms, with remainder bound
+    1/(m! m); acc <- acc k + 1, k <= m, from 0 gives acc = sum_{k<=m} m!/k!."""
     if terms < 3:
         raise ValueError("terms must be >= 3")
-    s = Rat(0)
-    fact = 1
+    acc = 0
     for k in range(terms + 1):
-        if k > 0:
-            fact *= k
-        s += Rat(1, fact)
-    return IntervalValue(s, s + Rat(1, fact * terms))
+        acc = acc * k + 1
+    fact = math.factorial(terms)
+    return IntervalValue(Rat(acc, fact), Rat(acc * terms + 1, fact * terms))
 
 
 def sqrt_enclosure(x, digits: int) -> IntervalValue:

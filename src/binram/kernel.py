@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .backend import Rat, as_rat
-from .exactcore import BinomialSpec, DomainError, falling, tail_value
+from .exactcore import BinomialSpec, DomainError, tail_value
 
 
 class ResourceError(RuntimeError):
@@ -50,20 +50,6 @@ class IntegerPolynomial(NamedTuple):
         return IntegerPolynomial(d)
 
 
-class DeltaCell(NamedTuple):
-    """The integration cell [1-(b+1)/n, 1-b/n]; width exactly 1/n."""
-
-    lo: object
-    hi: object
-
-    @classmethod
-    def of(cls, spec: BinomialSpec) -> "DeltaCell":
-        if spec.b >= spec.n:
-            raise DomainError("cell degenerates for b = n")
-        n = spec.n
-        return cls(lo=Rat(n - spec.b - 1, n), hi=Rat(n - spec.b, n))
-
-
 def _closed_form_inner_coeffs(spec: BinomialSpec, order: int) -> list:
     """Coefficients of z**(order-i), i = 0..order, in the derivative formula,
     for the admissible orders 0..min(b-1, n-b); order 0 gives [1]."""
@@ -77,8 +63,8 @@ def _closed_form_inner_coeffs(spec: BinomialSpec, order: int) -> list:
         c = (
             math.comb(order, i)
             * (-1) ** (order - i)
-            * falling(n - 1 - i, order - i)
-            * falling(n - b, i)
+            * math.perm(n - 1 - i, order - i)
+            * math.perm(n - b, i)
         )
         out.append(c)
     return out
@@ -183,9 +169,11 @@ def full_integral(spec: BinomialSpec):
 
 
 def integrate_g_delta(spec: BinomialSpec):
-    """Exact integral of the kernel over its cell [1-(b+1)/n, 1-b/n]."""
-    cell = DeltaCell.of(spec)
-    return integral_from_zero(spec, cell.hi) - integral_from_zero(spec, cell.lo)
+    """Exact integral of the kernel over its cell [1-(b+1)/n, 1-b/n], of width 1/n."""
+    b, n = spec.b, spec.n
+    if b >= n:
+        raise DomainError("cell degenerates for b = n")
+    return integral_from_zero(spec, Rat(n - b, n)) - integral_from_zero(spec, Rat(n - b - 1, n))
 
 
 # -- Taylor bounds ----------------------------------------------------------

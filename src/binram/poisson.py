@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .backend import Rat
-from .exactcore import DomainError, falling
+from .exactcore import DomainError
 from .intervals import (IntervalValue, e_enclosure, exp_neg_enclosure, sqrt_enclosure,
                         terms_for_digits)
 from .precision import DEFAULT_POLICY, PrecisionError, PrecisionPolicy
@@ -214,7 +214,7 @@ def factorial_moment_identity(b: int, s: int) -> bool:
     if not (1 <= s <= b):
         raise DomainError("need 1 <= s <= b")
     w = list(poisson_weights(b))
-    lhs = sum(w[i] * falling(i, s) for i in range(s, b))
+    lhs = sum(w[i] * math.perm(i, s) for i in range(s, b))
     rhs = b**s * sum(w[: b - s])
     return lhs == rhs
 
@@ -261,4 +261,4 @@ def falling_factorial_sum(k: int, s: int) -> int:
     """Exact sum_{i=0}^{k} (-1)**i C(k, i) i^(s); vanishes whenever s < k."""
     if k < 0 or s < 0:
         raise DomainError("k and s must be >= 0")
-    return sum((-1) ** i * math.comb(k, i) * falling(i, s) for i in range(k + 1))
+    return sum((-1) ** i * math.comb(k, i) * math.perm(i, s) for i in range(k + 1))

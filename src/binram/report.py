@@ -46,9 +46,6 @@ class ViolationReport(NamedTuple):
     def as_row(self) -> list:
         return ["violation", *self]
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 class Report:
     """A full run: metadata, result rows, violations and inconclusive count.
@@ -114,7 +111,7 @@ class Report:
         return (f'{{\n  "inconclusive": {_nested(self.inconclusive)},\n'
                 f'  "meta": {_nested(self.meta)},\n'
                 f'  "results": {rows},\n'
-                f'  "violations": {_nested([v.as_dict() for v in self.violations])}\n}}\n')
+                f'  "violations": {_nested([v._asdict() for v in self.violations])}\n}}\n')
 
     def render(self, fmt: str) -> str:
         return self.to_csv() if fmt == "csv" else self.to_json()

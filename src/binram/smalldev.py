@@ -149,11 +149,9 @@ class ConjectureScanResult:
     """Grid scan of the two-point minimum against the shifted-tail family;
     the scan appends to the two lists and counts the degenerate points."""
 
-    __slots__ = ("n", "grid_step", "violations", "equality_witnesses", "degenerate_points")
+    __slots__ = ("violations", "equality_witnesses", "degenerate_points")
 
-    def __init__(self, n: int, grid_step):
-        self.n = n
-        self.grid_step = grid_step
+    def __init__(self):
         self.violations = []
         self.equality_witnesses = []  # (alpha, beta, b)
         self.degenerate_points = 0  # b > n: both tails are exactly 1
@@ -188,7 +186,7 @@ def conjecture_scan(n: int, grid_step) -> ConjectureScanResult:
     sign of tail minus reference: equal is a witness, less a violation.
     """
     u, v = conjecture_grid(n, grid_step)
-    result = ConjectureScanResult(n=n, grid_step=Rat(u, v))
+    result = ConjectureScanResult()
     scale = (n + 1) ** n
     refs = [None] + [_tp_numerator(1, 1, b, n) for b in range(1, n + 1)]
     for i in range((v - 1) // u + 1):

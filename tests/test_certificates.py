@@ -57,6 +57,19 @@ def test_small_b_verified():
     assert cert.extra["sufficient_form_failures"] == []
 
 
+def test_the_verdict_follows_the_witnesses():
+    """A certificate reads violated as soon as it holds a witness, whether
+    recorded or appended, with no further call; verified while it holds none."""
+    rng = certificates.RangeSpec("test", 1, 2, 3, 4)
+    cert = certificates.InequalityCertificate("test-claim", rng)
+    assert cert.status == VERIFIED
+    cert.record_violation(1, 3, Rat(1), Rat(0), note="recorded")
+    assert cert.status == VIOLATED
+    appended = certificates.InequalityCertificate("test-claim", rng)
+    appended.witnesses.extend(cert.witnesses)
+    assert appended.status == VIOLATED
+
+
 def test_r_positivity_verified():
     assert check_r_positivity(150).status == VERIFIED
 
@@ -278,7 +291,7 @@ def _rat_scan(b_lo, b_hi, n_max, diag_n_max):
     cert.extra["thresholds"] = thresholds
     cert.extra["diagonal_holds"] = {n: holds((n - 1) // 2, n)
                                     for n in range(2 * b_lo + 3, diag_n_max + 1, 2)}
-    return cert.finish()
+    return cert
 
 
 @pytest.mark.parametrize("n_max", [14, 15, 41, 80, 200])
@@ -483,7 +496,7 @@ def _medium_reference(b_lo, b_hi, tail_b_hi):
         lo_val, hi_val = q(b, 2 * b), q(b, 3 * b + 1)
         if not (lead > 0 and lo_val < 0 and hi_val < 0):
             cert.record_violation(b, 2 * b, lo_val, 0, note="convexity-endpoints")
-    return cert.finish()
+    return cert
 
 
 def test_medium_falls_back_when_its_proof_fails():

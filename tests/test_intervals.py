@@ -102,6 +102,33 @@ def test_exp_neg1_alternating_bracket():
         assert enc.lo < enc.hi
 
 
+def per_term_brackets(terms: int) -> tuple:
+    """The 1/e and e brackets summed one Fraction per series term, as
+    exp_neg1_enclosure and e_enclosure computed them before their integer
+    Horner sums: the oracle for those sums."""
+    s, fact = Fraction(0), 1
+    for k in range(terms):
+        if k > 0:
+            fact *= k
+        s += Fraction((-1) ** k, fact)
+    nxt = s + Fraction((-1) ** terms, fact * terms)
+    inv_e = (s, nxt) if nxt > s else (nxt, s)
+    s, fact = Fraction(0), 1
+    for k in range(terms + 1):
+        if k > 0:
+            fact *= k
+        s += Fraction(1, fact)
+    return inv_e, (s, s + Fraction(1, fact * terms))
+
+
+def test_series_brackets_equal_the_per_term_sums():
+    for terms in range(3, 201):
+        inv_e, e = per_term_brackets(terms)
+        for enc, want in ((exp_neg1_enclosure(terms), inv_e), (e_enclosure(terms), e)):
+            got = tuple(Fraction(int(x.numerator), int(x.denominator)) for x in (enc.lo, enc.hi))
+            assert got == want, terms
+
+
 @pytest.mark.parametrize("b", [1, 2, 5, 20, 100])
 def test_exp_neg_enclosure(b):
     with mpmath.workdps(260):

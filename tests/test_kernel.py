@@ -12,7 +12,6 @@ from binram import certificates
 from binram.backend import Rat
 from binram.exactcore import BinomialSpec, DomainError
 from binram.kernel import (
-    DeltaCell,
     IntegerPolynomial,
     ResourceError,
     derivative_closed_form,
@@ -149,11 +148,7 @@ def test_full_integral_beta_value(b, n):
 def test_integral_matches_sympy(b, n):
     z, g = sympy_kernel(b, n)
     spec = BinomialSpec(b, n)
-    cell = DeltaCell.of(spec)
-    want = sympy.integrate(
-        g, (z, sympy.Rational(int(cell.lo.numerator), int(cell.lo.denominator)),
-            sympy.Rational(int(cell.hi.numerator), int(cell.hi.denominator)))
-    )
+    want = sympy.integrate(g, (z, sympy.Rational(n - b - 1, n), sympy.Rational(n - b, n)))
     want = sympy.Rational(want)
     got = integrate_g_delta(spec)
     assert Fraction(int(got.numerator), int(got.denominator)) == Fraction(
@@ -183,10 +178,13 @@ def test_integral_matches_termwise_fraction_sum():
 
 
 def test_cell_and_grid():
-    cell = DeltaCell.of(BinomialSpec(3, 10))
-    assert (cell.lo, cell.hi) == (Rat(6, 10), Rat(7, 10))
-    with pytest.raises(DomainError):
-        DeltaCell.of(BinomialSpec(10, 10))
+    """integrate_g_delta integrates over [6/10, 7/10] at (b, n) = (3, 10), and
+    the cell degenerates at b = n."""
+    spec = BinomialSpec(3, 10)
+    assert integrate_g_delta(spec) == \
+        integral_from_zero(spec, Rat(7, 10)) - integral_from_zero(spec, Rat(6, 10))
+    with pytest.raises(DomainError, match="cell degenerates"):
+        integrate_g_delta(BinomialSpec(10, 10))
 
 
 # -- Taylor sandwich ----------------------------------------------------------

@@ -31,7 +31,7 @@ def test_violation_report_carries_exact_and_decimal():
     v = ViolationReport.from_rationals("x", 1, 2, Rat(1, 3), Rat(1, 2), note="why")
     assert v.raw_lhs == "1/3" and v.raw_rhs == "1/2"
     assert v.lhs.startswith("0.3333") and v.rhs.startswith("0.5")
-    assert v.as_dict()["note"] == "why"
+    assert v._asdict()["note"] == "why"
 
 
 def test_csv_layout_and_lf_endings():
@@ -117,7 +117,7 @@ def reference_json(rep) -> str:
     doc = {
         "meta": rep.meta,
         "results": [dict(zip(rep.header, row)) for row in rep.results],
-        "violations": [v.as_dict() for v in rep.violations],
+        "violations": [v._asdict() for v in rep.violations],
         "inconclusive": rep.inconclusive,
     }
     return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
