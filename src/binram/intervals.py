@@ -9,9 +9,10 @@ operations stay rigorous.  Endpoint blow-up is controlled with
 Transcendental constants are produced from elementary certified brackets:
 e and 1/e from truncated exponential series with explicit remainder bounds,
 exp(-b) as the integer closed form of the b-th power of the 1/e bracket on a
-10**-k grid, square roots from integer sqrt with outward rounding, and large
-rational powers by fixed-point binary powering with outward rounding, as
-integer endpoints over 2**bits.
+10**-k grid (the powers carried from one b to the next larger one), square
+roots from integer sqrt with outward rounding, and large rational powers by
+fixed-point binary powering with outward rounding, as integer endpoints over
+2**bits.
 """
 
 from __future__ import annotations
@@ -153,6 +154,9 @@ def exp_neg1_enclosure(terms: int) -> IntervalValue:
     return IntervalValue(lo, hi)
 
 
+_exp_neg_powers = {}  # terms -> (bracket, b, (nl**b, dl**b, nh**b, dh**b)) of the last call
+
+
 def exp_neg_enclosure(b: int, terms: int, digits: int) -> IntervalValue:
     """Enclosure of exp(-b) for integer b >= 1, with endpoints on the grid
     10**-digits, by powering the 1/e bracket of ``exp_neg1_enclosure(terms)``.
@@ -165,14 +169,31 @@ def exp_neg_enclosure(b: int, terms: int, digits: int) -> IntervalValue:
     rational p/q is the rational p**b / q**b, and round_out takes the floor
     (ceiling) of the same value times 10**digits.  No b-th power of a
     rational is reduced, compared or divided.
+
+    Carried powers.  The four b-th powers of the last call are kept per
+    ``terms``, with the bracket object they were raised from.  A call with
+    the same bracket and b >= b' of that call gets x**b = x**b' x**(b-b'),
+    one product per integer; a smaller b or another bracket (a new one, or
+    one replaced in place) raises them from scratch.  The powers are exact
+    either way, so the result does not depend on earlier calls; a walk over
+    b = 1, 2, ... at one precision pays one product by each bracket integer
+    per step.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
     bracket = exp_neg1_enclosure(terms)
-    lo, hi = bracket.lo, bracket.hi
+    ints = (bracket.lo.numerator, bracket.lo.denominator,
+            bracket.hi.numerator, bracket.hi.denominator)
+    last = _exp_neg_powers.get(terms)
+    if last is not None and last[0] is bracket and last[1] <= b:
+        step = b - last[1]
+        powers = tuple(p * x**step for p, x in zip(last[2], ints))
+    else:
+        powers = tuple(x**b for x in ints)
+    _exp_neg_powers[terms] = bracket, b, powers
+    nl, dl, nh, dh = powers
     scale = 10**digits
-    return IntervalValue(Rat(lo.numerator**b * scale // lo.denominator**b, scale),
-                         Rat(-(-hi.numerator**b * scale // hi.denominator**b), scale))
+    return IntervalValue(Rat(nl * scale // dl, scale), Rat(-(-nh * scale // dh), scale))
 
 
 def e_enclosure(terms: int) -> IntervalValue:

@@ -5,14 +5,16 @@ kernel over the cell [1-(b+1)/n, 1-b/n].  This module provides:
 
 * the closed form for the kernel and its derivative of any admissible
   order, evaluated in integers at z = k/N, together with an independent
-  oracle (coefficient-wise differentiation of the expanded integer
-  polynomial) used to cross-check it,
+  oracle used to cross-check it: the expanded integer polynomial,
+  differentiated to any order in one coefficient-wise pass,
 * exact polynomial integration,
 * third-order Taylor bounds with fourth-derivative remainder brackets, an
   integer bracket on the cell's 5-point grid,
 * the certificate polynomials P and R whose signs drive the finite-range
   inequality certificates,
-* exact verification of the four tail/integral identities.
+* exact verification of the four tail/integral identities, each cleared of
+  its denominators to an integer equation between tail numerators and
+  integral sums.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .backend import Rat, as_rat
-from .exactcore import BinomialSpec, DomainError, tail_value
+from .exactcore import BinomialSpec, DomainError, tail_pmf_numerators
 
 
 class ResourceError(RuntimeError):
@@ -42,12 +44,6 @@ class IntegerPolynomial(NamedTuple):
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-    def derivative(self) -> "IntegerPolynomial":
-        if len(self.coeffs) <= 1:
-            return IntegerPolynomial((0,))
-        d = tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-        return IntegerPolynomial(d)
 
 
 def _closed_form_inner_coeffs(spec: BinomialSpec, order: int) -> list:
@@ -109,13 +105,13 @@ def kernel_polynomial(spec: BinomialSpec) -> IntegerPolynomial:
 
 
 def derivative_oracle(spec: BinomialSpec, order: int) -> IntegerPolynomial:
-    """Independent derivative: expand, then differentiate coefficient-wise."""
+    """Independent derivative: expand, then differentiate coefficient-wise in
+    one pass, c_j z**j -> c_j j!/(j-order)! z**(j-order); (0,) past the degree."""
     if order < 0:
         raise DomainError("order must be >= 0")
-    poly = kernel_polynomial(spec)
-    for _ in range(order):
-        poly = poly.derivative()
-    return poly
+    coeffs = kernel_polynomial(spec).coeffs
+    return IntegerPolynomial(tuple(c * math.perm(j, order)
+                                   for j, c in enumerate(coeffs[order:], order)) or (0,))
 
 
 def derivative_closed_form_polynomial(spec: BinomialSpec, order: int) -> IntegerPolynomial:
@@ -254,38 +250,85 @@ def verify_claim1(spec: BinomialSpec) -> bool:
     3. z as a normalized split integral,
     4. the consecutive z difference via split integrals.
 
-    The tails and z come from one tail kernel call each at b and b+1, the
-    integrals from one integral_sum each at 1-b/n and 1-(b+1)/n.
+    Each identity is checked as an integer equation, with its denominators
+    cleared.  Write s = n**n, m = n-b, x = (b+1)/n and y = b/n.  The inputs
+    are the tail numerators (T_b, N_b) and (T_{b+1}, N_{b+1}) of
+    exactcore.tail_pmf_numerators at b and b+1 (P(X_c < c) = T_c / s and
+    P(X_c = c) = N_c / s for X_c ~ Bin(n, c/n)), with u_c = s - 2 T_c, so
+    z(c, n) = u_c / (2 N_c), and two integral_sum calls.  With
+    L = lcm(n-b+1, ..., n), the kernel integrals over [0, 1-y] = [0, m/n]
+    and [0, 1-x] = [0, (m-1)/n] are I_b / (L s) and I_b1 / (L s), where
+
+        I_b = integral_sum(b, n, m, n, L) m**(m+1),
+        I_b1 = integral_sum(b, n, m-1, n, L) (m-1)**(m+1),
+
+    and the full integral is Fnum / Fden, Fnum = (b-1)! (n-b)!, Fden = n!.
+    The split integrals full - 2 int are Sigma / (Fden L s), with
+    Sigma = Fnum L s - 2 I Fden, for I = I_b (Sigma_b) and I = I_b1 (Sigma_b1).
+    The powers are x**b (1-x)**(n-b) = (b+1)**b (m-1)**m / s and
+    y**b (1-y)**(n-b) = b**b m**m / s.
+
+    1. T_b / s = int_b / full, whose right side is I_b Fden / (L s Fnum).
+       Times s L Fnum:
+
+           T_b L Fnum = I_b Fden.
+
+    2. (T_{b+1} - T_b) / s = (x**b (1-x)**(n-b) - b cell) / (b full), with
+       cell = (I_b - I_b1) / (L s).  Times s L b Fnum:
+
+           (T_{b+1} - T_b) L b Fnum = ((b+1)**b (m-1)**m L - b (I_b - I_b1)) Fden.
+
+    3. u_b / (2 N_b) = b split_b / (2 y**b (1-y)**(n-b)), whose right side is
+       b Sigma_b / (2 Fden L b**b m**m).  Times 2 N_b Fden L b**b m**m:
+
+           u_b Fden L b**b m**m = N_b b Sigma_b.
+
+    4. z(b+1, n) - z(b, n) = s / (2 m c) * bracket, with
+       c = (b+1)**b (m-1)**(m-1) and
+
+           bracket = -2 (b+1)**b (m-1)**m / s + b split_b1
+                     - b (1 + 1/b)**b (1 - 1/m)**(m-1) split_b.
+
+       (1 + 1/b)**b (1 - 1/m)**(m-1) = c / M with M = b**b m**(m-1), so with
+       K = Fden L s, bracket = B / (K M) for the integer
+
+           B = M (-2 (b+1)**b (m-1)**m Fden L + b Sigma_b1) - b c Sigma_b.
+
+       The left side is (u_{b+1} N_b - u_b N_{b+1}) / (2 N_b N_{b+1}).
+       Times 2 N_b N_{b+1} m c K M:
+
+           (u_{b+1} N_b - u_b N_{b+1}) m c K M = N_b N_{b+1} s B.
+
+    Every factor cleared is a positive integer: 1 <= b < n gives m >= 1, and
+    at b = n-1 (m = 1) the powers read 0**0 = 1, so c >= 1 and M >= 1, while
+    N_b and N_{b+1} are positive because 1 <= b < b+1 <= n.  So each integer
+    equation holds exactly when its rational identity does.  No rational is
+    built.
     """
     b, n = spec.b, spec.n
     if not (1 <= b < n):
         raise DomainError("identities need 1 <= b < n")
-    tv, tv1 = tail_value(spec), tail_value(BinomialSpec(b + 1, n))
-    full = full_integral(spec)
-    x = Rat(b + 1, n)
-    y = Rat(b, n)
-    int_b, int_b1 = integral_from_zero(spec, 1 - y), integral_from_zero(spec, 1 - x)
+    s, m = n**n, n - b
+    t_b, n_b = tail_pmf_numerators(n, b, b, n)
+    t_b1, n_b1 = tail_pmf_numerators(n, b + 1, b + 1, n)
+    u_b, u_b1 = s - 2 * t_b, s - 2 * t_b1
+    f_num = math.factorial(b - 1) * math.factorial(m)
+    f_den = math.factorial(n)
+    lcm = math.lcm(*range(m + 1, n + 1))
+    i_b = integral_sum(b, n, m, n, lcm) * m ** (m + 1)
+    i_b1 = integral_sum(b, n, m - 1, n, lcm) * (m - 1) ** (m + 1)
+    sigma_b = f_num * lcm * s - 2 * i_b * f_den
+    sigma_b1 = f_num * lcm * s - 2 * i_b1 * f_den
+    lead = (b + 1) ** b * (m - 1) ** m  # s x**b (1-x)**(n-b)
 
-    ok_tail = tv.p == int_b / full
+    ok_tail = t_b * lcm * f_num == i_b * f_den
+    ok_diff = (t_b1 - t_b) * lcm * b * f_num == (lead * lcm - b * (i_b - i_b1)) * f_den
+    ok_z = u_b * f_den * lcm * b**b * m**m == n_b * b * sigma_b
 
-    cell_int = int_b - int_b1
-    ok_diff = tv1.p - tv.p == (x**b * (1 - x) ** (n - b) - b * cell_int) / (b * full)
-
-    split_b = full - 2 * int_b
-    ok_z = tv.z == Rat(1, 2) * b * split_b / (y**b * (1 - y) ** (n - b))
-
-    split_b1 = full - 2 * int_b1
-    prefactor = Rat(
-        n**n, 2 * (n - b) * (b + 1) ** b * (n - b - 1) ** (n - b - 1)
-    )
-    bracket = (
-        -2 * x**b * Rat(n - b - 1, n) ** (n - b)
-        + b * split_b1
-        - b
-        * (1 + Rat(1, b)) ** b
-        * (1 - Rat(1, n - b)) ** (n - b - 1)
-        * split_b
-    )
-    ok_zdiff = tv1.z - tv.z == prefactor * bracket
+    big_k = f_den * lcm * s
+    big_m = b**b * m ** (m - 1)
+    c = (b + 1) ** b * (m - 1) ** (m - 1)
+    bracket = big_m * (-2 * lead * f_den * lcm + b * sigma_b1) - b * c * sigma_b
+    ok_zdiff = (u_b1 * n_b - u_b * n_b1) * m * c * big_k * big_m == n_b * n_b1 * s * bracket
 
     return ok_tail and ok_diff and ok_z and ok_zdiff

@@ -5,9 +5,10 @@ only approximate ingredient is the enclosure of exp(-b), obtained by powering
 a certified 1/e bracket.  All downstream intervals are therefore rigorous:
 the true real value lies between the rational endpoints.
 
-y, alpha and beta are integer closed forms on a 10**-k grid: each endpoint is
-one floor or ceiling division of integers, equal to the endpoint the outward
-interval chain over exact rationals would give (proofs in the docstrings).
+y, alpha, beta and the truncated moments are integer closed forms on a
+10**-k grid: each endpoint is one floor or ceiling division of integers,
+equal to the endpoint the outward interval chain over exact rationals would
+give (proofs in the docstrings).
 
 The headline quantity is y(b) = (1/2 - P(N < b)) / P(N = b) for N ~ Poisson(b),
 classically confined to (1/3, 1/2) and decreasing, together with the
@@ -244,7 +245,15 @@ def truncated_moment(
 
         h1: E[(b-N)**k 1(N<b)]      h2: E[N (b-N)**k 1(N<b)]
 
-    as an exact rational weight times the exp(-b) enclosure.
+    on the grid 10**-d, d = policy.digits: an exact rational weight times the
+    exp(-b) enclosure.
+
+    Integer closed form of the interval chain (W * e).round_out(d), with
+    W = A / (b-1)! for the integer weight sum A = sum_i w_i (b-i)**k (times i
+    for h2) and e = [p_lo / q_lo, p_hi / q_hi] from ``exp_neg_enclosure``.
+    As A >= 0, the product is [A p_lo / ((b-1)! q_lo), A p_hi / ((b-1)! q_hi)],
+    and round_out puts the floor and the ceiling of each end times 10**d
+    over 10**d: one integer division per endpoint.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -252,9 +261,11 @@ def truncated_moment(
         raise DomainError("which must be 'h1' or 'h2'")
     acc = sum(w * (b - i) ** k * (i if which == "h2" else 1)
               for i, w in enumerate(poisson_weights(b)))
-    weight = Rat(acc, math.factorial(b - 1))
-    digits = policy.digits
-    return (weight * _exp_neg_interval(b, digits)).round_out(digits)
+    e = _exp_neg_interval(b, policy.digits)
+    scale = 10**policy.digits
+    fact = math.factorial(b - 1)
+    return IntervalValue(Rat(acc * e.lo.numerator * scale // (fact * e.lo.denominator), scale),
+                         Rat(-(-acc * e.hi.numerator * scale // (fact * e.hi.denominator)), scale))
 
 
 def falling_factorial_sum(k: int, s: int) -> int:

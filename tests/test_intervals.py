@@ -1,14 +1,17 @@
 """Interval arithmetic: outward rounding, enclosure correctness for e,
-exp(-b) and square roots, checked against mpmath at higher precision, and
+exp(-b) and square roots, checked against mpmath at higher precision,
+exp(-b) from carried powers against powers raised from scratch, and
 rational powers checked against exact Fraction powers."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binram import intervals
 from binram.backend import Rat
 from binram.intervals import (
     IntervalValue,
@@ -135,6 +138,77 @@ def test_exp_neg_enclosure(b):
         enc = exp_neg_enclosure(b, terms_for_digits(60), 120)
         assert contains_mp(enc, mpmath.exp(-b))
         assert 10**120 % enc.lo.denominator == 0 and 10**120 % enc.hi.denominator == 0
+
+
+def scratch_exp_neg(b, bracket, digits):
+    """exp_neg_enclosure's closed form with the four b-th powers of the
+    bracket [nl/dl, nh/dh] raised from scratch."""
+    nl, dl, nh, dh = (bracket.lo.numerator, bracket.lo.denominator,
+                      bracket.hi.numerator, bracket.hi.denominator)
+    scale = 10**digits
+    return IntervalValue(Rat(nl**b * scale // dl**b, scale),
+                         Rat(-(-nh**b * scale // dh**b), scale))
+
+
+T30, T60 = terms_for_digits(30), terms_for_digits(60)
+# (b, terms) call orders; the last one is the default poisson walk at 30 digits
+# with its 60-digit escalations at b = 161, 164 and 173
+EXP_NEG_WALKS = {
+    "up one step": [(b, T30) for b in range(1, 61)],
+    "up with jumps": [(b, T30) for b in (1, 2, 5, 13, 40, 41, 100, 177)],
+    "repeated b": [(b, T30) for b in (7, 7, 8, 8, 8)],
+    "downward": [(b, T30) for b in (50, 49, 10, 11, 1, 3)],
+    "two brackets": [(b, terms) for b in range(155, 180)
+                     for terms in ((T30, T60) if b in (161, 164, 173) else (T30,))],
+}
+
+
+@pytest.mark.parametrize("walk", EXP_NEG_WALKS)
+def test_carried_powers_equal_powers_from_scratch(monkeypatch, walk):
+    monkeypatch.setattr(intervals, "_exp_neg_powers", {})
+    for b, terms in EXP_NEG_WALKS[walk]:
+        digits = 40 + b  # finer than exp(-b) itself
+        assert exp_neg_enclosure(b, terms, digits) == \
+            scratch_exp_neg(b, exp_neg1_enclosure(terms), digits), (b, terms)
+
+
+def test_a_replaced_bracket_is_powered_from_scratch(monkeypatch):
+    monkeypatch.setattr(intervals, "_exp_neg_powers", {})
+    exp_neg_enclosure(5, T30, 60)
+    wide = IntervalValue(Rat(1, 3), Rat(3, 5))
+    monkeypatch.setattr(intervals, "exp_neg1_enclosure", lambda terms: wide)
+    assert exp_neg_enclosure(6, T30, 60) == scratch_exp_neg(6, wide, 60)
+
+
+class PowerLog(int):
+    """An int that logs the exponents it is raised to."""
+
+    log = []
+
+    def __pow__(self, k):
+        PowerLog.log.append(k)
+        return int(self) ** k
+
+
+def test_interleaved_brackets_each_keep_their_carried_powers(monkeypatch):
+    """Two brackets called in turn at b = 5, 6, ..., 30: after its first
+    call each one advances by x**1, so each carries its own powers."""
+    def bracket(nl, nh):
+        return SimpleNamespace(lo=SimpleNamespace(numerator=PowerLog(nl), denominator=PowerLog(1000)),
+                               hi=SimpleNamespace(numerator=PowerLog(nh), denominator=PowerLog(1000)))
+
+    brackets = {T30: bracket(367, 368), T60: bracket(3678, 3679)}
+    monkeypatch.setattr(intervals, "_exp_neg_powers", {})
+    monkeypatch.setattr(intervals, "exp_neg1_enclosure", brackets.__getitem__)
+    exponents = []
+    for b in range(5, 31):
+        for terms in (T30, T60):
+            want = scratch_exp_neg(b, brackets[terms], 90)
+            PowerLog.log.clear()
+            assert exp_neg_enclosure(b, terms, 90) == want, (b, terms)
+            exponents.append(PowerLog.log[:])
+    assert exponents[:2] == [[5] * 4, [5] * 4]
+    assert all(log == [1] * 4 for log in exponents[2:])
 
 
 @pytest.mark.parametrize("x", [Rat(2), Rat(10), Rat(1, 4), Rat(49), Rat(77, 360)])

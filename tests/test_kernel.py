@@ -1,6 +1,7 @@
 """Kernel calculus: the integer closed form vs a Fraction reference, the
-coefficient oracle and sympy, exact integrals, Taylor sandwich, and the
-certificate polynomials' defining identities."""
+coefficient oracle and sympy, exact integrals, Taylor sandwich, the
+certificate polynomials' defining identities, and the integer claim-1
+identities vs their Fraction form."""
 
 import math
 from fractions import Fraction
@@ -8,9 +9,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from binram import certificates
+from binram import certificates, kernel
 from binram.backend import Rat
-from binram.exactcore import BinomialSpec, DomainError
+from binram.exactcore import BinomialSpec, DomainError, tail_value
 from binram.kernel import (
     IntegerPolynomial,
     ResourceError,
@@ -56,13 +57,20 @@ def sympy_kernel(b, n):
     return z, (1 - z) ** (b - 1) * z ** (n - b)
 
 
+def derivative(poly):
+    """One coefficient-wise derivative; a constant's is (0,)."""
+    if len(poly.coeffs) <= 1:
+        return IntegerPolynomial((0,))
+    return IntegerPolynomial(tuple(k * c for k, c in enumerate(poly.coeffs) if k >= 1))
+
+
 # -- polynomial plumbing ------------------------------------------------------
 
 
 def test_integer_polynomial_basics():
     p = IntegerPolynomial((1, -2, 3))  # 1 - 2z + 3z^2
     assert p(Rat(1, 2)) == Rat(3, 4)
-    d = p.derivative()
+    d = derivative(p)
     assert d(Rat(1, 2)) == Rat(1)  # -2 + 6z at 1/2
 
 
@@ -90,6 +98,21 @@ def test_closed_form_equals_oracle_all_orders(b, n):
         oracle = derivative_oracle(spec, order)
         for z in (Rat(1, 5), Rat(1, 2), Rat(9, 10)):
             assert closed(z) == oracle(z)
+
+
+def test_one_pass_oracle_equals_repeated_differentiation():
+    """derivative_oracle at every order 0..n+1 against the kernel polynomial
+    differentiated one order at a time, n <= 40; past the degree both are (0,)."""
+    for n in range(1, 41):
+        for b in range(1, n + 1):
+            spec = BinomialSpec(b, n)
+            poly = kernel_polynomial(spec)
+            for order in range(n + 2):
+                assert derivative_oracle(spec, order) == poly, (b, n, order)
+                poly = derivative(poly)
+            assert poly == IntegerPolynomial((0,))
+    with pytest.raises(DomainError):
+        derivative_oracle(BinomialSpec(3, 8), -1)
 
 
 def test_integer_closed_form_matches_fraction_reference():
@@ -324,6 +347,87 @@ def test_small_b_rhs_equals_the_fraction_formula(monkeypatch, b_lo, b_hi, n_cap)
 
 
 # -- integral identity suite --------------------------------------------------
+
+
+def fraction_claim1(spec):
+    """The four identities in Fractions, as verify_claim1 checked them before
+    they were cleared to integer equations."""
+    b, n = spec.b, spec.n
+    if not (1 <= b < n):
+        raise DomainError("identities need 1 <= b < n")
+    tv, tv1 = tail_value(spec), tail_value(BinomialSpec(b + 1, n))
+    full = full_integral(spec)
+    x = Rat(b + 1, n)
+    y = Rat(b, n)
+    int_b, int_b1 = integral_from_zero(spec, 1 - y), integral_from_zero(spec, 1 - x)
+
+    ok_tail = tv.p == int_b / full
+
+    cell_int = int_b - int_b1
+    ok_diff = tv1.p - tv.p == (x**b * (1 - x) ** (n - b) - b * cell_int) / (b * full)
+
+    split_b = full - 2 * int_b
+    ok_z = tv.z == Rat(1, 2) * b * split_b / (y**b * (1 - y) ** (n - b))
+
+    split_b1 = full - 2 * int_b1
+    prefactor = Rat(
+        n**n, 2 * (n - b) * (b + 1) ** b * (n - b - 1) ** (n - b - 1)
+    )
+    bracket = (
+        -2 * x**b * Rat(n - b - 1, n) ** (n - b)
+        + b * split_b1
+        - b
+        * (1 + Rat(1, b)) ** b
+        * (1 - Rat(1, n - b)) ** (n - b - 1)
+        * split_b
+    )
+    ok_zdiff = tv1.z - tv.z == prefactor * bracket
+
+    return ok_tail and ok_diff and ok_z and ok_zdiff
+
+
+def test_verify_claim1_matches_the_fraction_identities():
+    for n in range(2, 61):
+        for b in range(1, n):
+            spec = BinomialSpec(b, n)
+            assert (verify_claim1(spec), fraction_claim1(spec)) == (True, True), (b, n)
+
+
+# (input, the identities that read it): T, N from tail_pmf_numerators at b and
+# b+1, and integral_sum at p = m and p = m-1, m = n-b
+CLAIM1_INPUTS = [("T_b", "1 2 3 4"), ("N_b", "3 4"), ("T_b1", "2 4"), ("N_b1", "4"),
+                 ("I_b", "1 2 3 4"), ("I_b1", "2 4")]
+# at b = n-1 the integral over [0, (m-1)/n] = [0, 0] is multiplied by 0**(m+1) = 0
+CLAIM1_PERTURBATIONS = [(b, n, name, identities)
+                        for b, n in ((1, 2), (3, 8), (7, 15), (12, 13))
+                        for name, identities in CLAIM1_INPUTS
+                        if not (name == "I_b1" and b == n - 1)]
+
+
+@pytest.mark.parametrize("b,n,name,identities", CLAIM1_PERTURBATIONS)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_verify_claim1_rejects_a_perturbed_input(monkeypatch, b, n, name, identities, delta):
+    """One input off by one makes verify_claim1 false, so no identity holds
+    whatever its inputs; N_{b+1} is read by identity 4 alone."""
+    tails, integrals = kernel.tail_pmf_numerators, kernel.integral_sum
+    m = n - b
+
+    def numerators(n_, b_, p, r):
+        t, pmf = tails(n_, b_, p, r)
+        if (name, b_) in (("T_b", b), ("T_b1", b + 1)):
+            t += delta
+        if (name, b_) in (("N_b", b), ("N_b1", b + 1)):
+            pmf += delta
+        return t, pmf
+
+    def integral(b_, n_, p, q, lcm):
+        return integrals(b_, n_, p, q, lcm) + delta * ((name, p) in (("I_b", m), ("I_b1", m - 1)))
+
+    spec = BinomialSpec(b, n)
+    assert verify_claim1(spec)
+    monkeypatch.setattr(kernel, "tail_pmf_numerators", numerators)
+    monkeypatch.setattr(kernel, "integral_sum", integral)
+    assert not verify_claim1(spec), f"{name} feeds identities {identities}"
 
 
 def test_verify_claim1_small_sweep():
