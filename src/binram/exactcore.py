@@ -124,27 +124,49 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def tail_row(n: int, b_lo: int, b_hi: int, numerators=tail_pmf_numerators) -> list:
-    """Pairs (u_b, N_b), b = b_lo..b_hi, each from one kernel call: with
-    (T_b, N_b) the numerators of P(X < b) and P(X = b) over n**n,
-    u_b = n**n - 2 T_b, so z_b = u_b / (2 N_b).  The one row that the tail-
-    and z-difference signs and certificates.check_z_lowerbound read."""
+def tail_row(n: int, b_lo: int, b_hi: int) -> list:
+    """Pairs (u_b, N_b), b = b_lo..b_hi: with (T_b, N_b) the numerators of
+    P(X < b) and P(X = b) over s = n**n, u_b = s - 2 T_b, so z_b = u_b / (2 N_b).
+    The one row that the tail- and z-difference signs and
+    certificates.check_z_lowerbound read.
+
+    Each long side (T_c, N_c) = _long_side(n, c, c, n) is computed at most
+    once per call, for c = min(b, n-b), and b > n/2 takes the complement of
+    its mirror c = n-b.  Proof: with j = n - i,
+
+        T_c = sum_{j<c} C(n, j) c**j b**(n-j) = sum_{i>b} C(n, i) b**i c**(n-i),
+        N_c = C(n, c) c**c b**b = C(n, b) b**b c**(n-b) = N_b,
+
+    the terms i > b and i = b of the binomial sum (b + c)**n = s (the short
+    side of :func:`tail_pmf_numerators`).  Its n+1 terms sum to s, so
+
+        T_b = s - T_c - N_c,    u_b = s - 2 T_b = 2 N_c - u_c,
+
+    the integers of tail_pmf_numerators(n, b, b, n).  At 2b = n, c = b is the
+    long side itself (where u_b = N_b, so the complement would agree); at
+    b = n, c = 0 gives (T_0, N_0) = (0, s), so T_n = 0.
+    """
     scale = n**n
-    return [(scale - 2 * t, pmf)
-            for t, pmf in (numerators(n, b, b, n) for b in range(b_lo, b_hi + 1))]
+    sides, row = {}, []
+    for b in range(b_lo, b_hi + 1):
+        c = min(b, n - b)
+        if c not in sides:
+            t, pmf = _long_side(n, c, c, n)
+            sides[c] = scale - 2 * t, pmf
+        u, pmf = sides[c]
+        row.append((u, pmf) if c == b else (2 * pmf - u, pmf))
+    return row
 
 
-def _p_signs(n: int, b_lo: int, b_hi: int) -> list:
-    """Signs for b = b_lo..b_hi from the row b_lo..b_hi+1: T_{b+1} - T_b has
-    the sign of u_b - u_{b+1}."""
-    row = tail_row(n, b_lo, b_hi + 1)
+def _p_signs(row: list) -> list:
+    """Signs for consecutive entries of a tail_row: T_{b+1} - T_b has the sign
+    of u_b - u_{b+1}."""
     return [_sign(u0 - u1) for (u0, _), (u1, _) in zip(row, row[1:])]
 
 
-def _z_signs(n: int, b_lo: int, b_hi: int) -> list:
-    """Signs for b = b_lo..b_hi from the row b_lo..b_hi+1: as N_b > 0,
-    z_{b+1} - z_b has the sign of u_{b+1} N_b - u_b N_{b+1}."""
-    row = tail_row(n, b_lo, b_hi + 1)
+def _z_signs(row: list) -> list:
+    """Signs for consecutive entries of a tail_row: as N_b > 0, z_{b+1} - z_b
+    has the sign of u_{b+1} N_b - u_b N_{b+1}."""
     return [_sign(u1 * m0 - u0 * m1) for (u0, m0), (u1, m1) in zip(row, row[1:])]
 
 
@@ -160,24 +182,28 @@ def p_diff_sign(b: int, n: int) -> int:
     (verified exhaustively by the scan suites; this just computes the sign).
     """
     _check_pair(b, n)
-    return _p_signs(n, b, b)[0]
+    return _p_signs(tail_row(n, b, b + 1))[0]
 
 
 def p_diff_signs(n: int) -> list:
-    """[p_diff_sign(b, n) for b in 1..n-1], computing each tail once."""
+    """[p_diff_sign(b, n) for b in 1..n-1] from one tail_row(n, 1, n): each
+    long side c = 0..n/2 once, and every b > n/2 by the complement
+    T_b = n**n - T_{n-b} - N_{n-b}, N_b = N_{n-b} (proof at :func:`tail_row`)."""
     _check_pair(1, n)
-    return _p_signs(n, 1, n - 1)
+    return _p_signs(tail_row(n, 1, n))
 
 
 def z_diff_sign_exact(b: int, n: int) -> int:
     """Exact sign of z(b+1, n) - z(b, n), by integer cross-multiplication."""
     _check_pair(b, n)
-    return _z_signs(n, b, b)[0]
+    return _z_signs(tail_row(n, b, b + 1))[0]
 
 
 def z_diff_signs(n: int) -> list:
-    """[z_diff_sign_exact(b, n) for b in 1..n-1], computed directly only for
-    b <= h = ceil(n/2) and for b = n-1.
+    """[z_diff_sign_exact(b, n) for b in 1..n-1] from one tail_row(n, 1, h+1),
+    h = ceil(n/2): each long side c <= n/2 once, and b > n/2 by the complement
+    T_b = n**n - T_{n-b} - N_{n-b}, N_b = N_{n-b} (proof at :func:`tail_row`).
+    The cross-multiplications run only for b <= h.
 
     The rest mirror: sign(b) = sign(n-1-b) for h < b < n-1.  Proof: with
     Y = n - X ~ Bin(n, (n-b)/n), P(X < b) = 1 - P(Y < n-b) - P(Y = n-b) and
@@ -187,14 +213,21 @@ def z_diff_signs(n: int) -> list:
         z(b+1) - z(b) = (1 - z(n-1-b)) - (1 - z(n-b)) = z(n-b) - z(n-1-b),
 
     the difference at b' = n-1-b, and h < b < n-1 puts 1 <= b' < n/2 - 1 < h.
-    The rule does not reach b = n-1: z(n, n) lies outside the identity.
+    The rule does not reach b = n-1, as z(n, n) lies outside the identity, but
+    X ~ Bin(n, 1) is n surely, so z(n, n) = 1/2, and z(n-1) = 1 - z(1) gives
+
+        z(n) - z(n-1) = z(1) - 1/2 = (u_1 - N_1) / (2 N_1),
+
+    with the sign of u_1 - N_1.
     """
     _check_pair(1, n)
     h = (n + 1) // 2
+    row = tail_row(n, 1, h + 1)
+    head = _z_signs(row)
     if h >= n - 1:
-        return _z_signs(n, 1, n - 1)
-    head = _z_signs(n, 1, h)
-    return head + [head[n - 2 - b] for b in range(h + 1, n - 1)] + _z_signs(n, n - 1, n - 1)
+        return head
+    u_1, n_1 = row[0]
+    return head + [head[n - 2 - b] for b in range(h + 1, n - 1)] + [_sign(u_1 - n_1)]
 
 
 def z_symmetry_row(n: int) -> list:
@@ -206,5 +239,6 @@ def z_symmetry_row(n: int) -> list:
     side is the complement identity itself, so reading it for b > n/2 would
     make the check hold by construction."""
     _check_pair(1, n)
-    row = tail_row(n, 1, n - 1, _long_side)
+    scale = n**n
+    row = [(scale - 2 * t, m) for t, m in (_long_side(n, b, b, n) for b in range(1, n))]
     return [u * m_r + u_r * m == 2 * m * m_r for (u, m), (u_r, m_r) in zip(row, reversed(row))]

@@ -38,13 +38,6 @@ class IntegerPolynomial(NamedTuple):
 
     coeffs: tuple
 
-    def __call__(self, z):
-        z = as_rat(z)
-        acc = Rat(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
 
 def _closed_form_inner_coeffs(spec: BinomialSpec, order: int) -> list:
     """Coefficients of z**(order-i), i = 0..order, in the derivative formula,
@@ -156,12 +149,6 @@ def integral_from_zero(spec: BinomialSpec, u):
     p, q = int(u.numerator), int(u.denominator)
     lcm = math.lcm(*range(n - b + 1, n + 1))
     return Rat(integral_sum(b, n, p, q, lcm) * p ** (n - b + 1), lcm * q**n)
-
-
-def full_integral(spec: BinomialSpec):
-    """Exact integral over [0, 1]; equals (b-1)! (n-b)! / n!."""
-    b, n = spec.b, spec.n
-    return Rat(math.factorial(b - 1) * math.factorial(n - b), math.factorial(n))
 
 
 def integrate_g_delta(spec: BinomialSpec):

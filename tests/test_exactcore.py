@@ -2,6 +2,7 @@
 fractions/comb oracle."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from binram.exactcore import (
     tail_numerator,
     tail_pmf_head,
     tail_pmf_numerators,
+    tail_row,
     tail_value,
     z_diff_sign_exact,
     z_diff_signs,
@@ -204,6 +206,45 @@ def test_per_pair_signs_at_n_2000_match_long_side():
     for b in (1, 999, 1000, 1001, 1500, 1998, 1999):
         (p,), (z,) = _long_side_signs(n, b, b)
         assert (p_diff_sign(b, n), z_diff_sign_exact(b, n)) == (p, z), b
+
+
+def test_tail_row_equals_per_b_numerators_on_every_window():
+    # windows below, straddling and wholly above n/2, with 2b = n and b = n
+    for n in range(1, 31):
+        scale = n**n
+        want = [(scale - 2 * t, pmf)
+                for t, pmf in (tail_pmf_numerators(n, b, b, n) for b in range(1, n + 1))]
+        for b_lo in range(1, n + 1):
+            for b_hi in range(b_lo, n + 1):
+                assert tail_row(n, b_lo, b_hi) == want[b_lo - 1:b_hi], (n, b_lo, b_hi)
+
+
+def _heads_per_c(monkeypatch, fn, *args):
+    """Counter of the b argument of every exactcore.tail_pmf_head call that fn makes."""
+    real, calls = exactcore.tail_pmf_head, Counter()
+
+    def spy(n, b, p, r):
+        calls[b] += 1
+        return real(n, b, p, r)
+
+    monkeypatch.setattr(exactcore, "tail_pmf_head", spy)
+    fn(*args)
+    monkeypatch.undo()
+    return calls
+
+
+def test_rows_compute_each_long_side_once(monkeypatch):
+    # c = min(b, n-b) runs over 0..n//2 on the row b = 1..n; c = 0 is b = n,
+    # which the z row reaches only at n <= 3
+    for n in (2, 3, 4, 5, 9, 10, 17, 30, 31, 120):
+        assert _heads_per_c(monkeypatch, p_diff_signs, n) == Counter(range(n // 2 + 1)), n
+        calls = _heads_per_c(monkeypatch, z_diff_signs, n)
+        assert set(calls.values()) == {1}, n
+        assert set(range(1, n // 2 + 1)) <= set(calls) <= set(range(n // 2 + 1)), n
+    for n in (3, 9, 31):  # the diagonal b + 1 = n - b shares one long side
+        b = (n - 1) // 2
+        assert _heads_per_c(monkeypatch, p_diff_sign, b, n) == Counter([b]), n
+        assert _heads_per_c(monkeypatch, z_diff_sign_exact, b, n) == Counter([b]), n
 
 
 def test_symmetry_row_fails_on_a_faulty_long_side(monkeypatch):
