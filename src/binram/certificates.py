@@ -9,8 +9,8 @@ explicit range in exact integer/rational arithmetic and returns an
 :class:`InequalityCertificate`: verified (no witnesses) or violated
 (witnesses listed with both sides exact).  Their only non-rational
 ingredient is the certified bracket around e, which enters three
-boundary-case bounds (_ineq1, _ineq2 and _top_boundary_coeffs) through
-interval arithmetic.
+boundary-case bounds (_ineq1, _ineq2 and _top_boundary_coeffs), each
+evaluated at the two ends of the bracket.
 
 The Appendix C polynomial families are proved positive from their first
 few points by :func:`_positive_from` (Newton's forward-difference formula);
@@ -26,7 +26,7 @@ from . import kernel, poisson
 from .backend import Rat, decimal_str
 from .exactcore import (EXACT_CUTOFF, BinomialSpec, DomainError, p_diff_sign, ramanujan_z,
                         tail_numerator, tail_row)
-from .intervals import IntervalValue, e_enclosure, terms_for_digits
+from .intervals import e_enclosure, terms_for_digits
 from .report import Report, ViolationReport
 
 VERIFIED = "verified"
@@ -488,7 +488,7 @@ def check_z_lowerbound(
 # -- boundary cases (b <= 5 and b >= n-5) ---------------------------------------
 
 
-def _ineq1(n: int, e: IntervalValue) -> IntervalValue:
+def _ineq1(n: int, e):
     return (
         Rat(899, 5)
         - e * Rat(523, 8)
@@ -496,7 +496,7 @@ def _ineq1(n: int, e: IntervalValue) -> IntervalValue:
     )
 
 
-def _ineq2(n: int, e: IntervalValue) -> IntervalValue:
+def _ineq2(n: int, e):
     m = n - 5
     return (
         Rat(2300)  # the split constant C
@@ -509,10 +509,10 @@ def _ineq2(n: int, e: IntervalValue) -> IntervalValue:
     )
 
 
-def _top_boundary_coeffs(e: IntervalValue) -> list:
+def _top_boundary_coeffs(e) -> list:
     """Coefficients c_0..c_5 of the upper bound sum_k c_k / (n-4)**k for the
     scaled difference of tails at b = n-5."""
-    inv_e = e.reciprocal()
+    inv_e = 1 / e
     return [
         inv_e * Rat(1097, 12) - Rat(103, 3),
         inv_e * Rat(18649, 24) - Rat(824, 3),
@@ -532,6 +532,11 @@ def check_boundary_cases(n_scan: int = 160) -> InequalityCertificate:
     (iv) positivity and growth, at n = 20, 40, ..., 200, of the two split
         bounds at the C = 2300 split, via the certified e bracket;
     (v) negativity of the top-boundary bound at n = 28, hence for all n >= 28.
+
+    The split bounds are affine in e, and each top-boundary coefficient, so
+    also their sum at n = 28, is affine in 1/e.  Each is therefore monotone
+    on the e bracket, and the least and greatest of its values at the two
+    ends of the bracket are the ends of its exact image.
     """
     rng = RangeSpec("boundary-cases", 1, 5, 2, n_scan)
     cert = InequalityCertificate("appB-boundary", rng)
@@ -545,22 +550,22 @@ def check_boundary_cases(n_scan: int = 160) -> InequalityCertificate:
     for label, fn in (("ineq1", _ineq1), ("ineq2", _ineq2)):
         prev = None
         for n in range(20, 201, 20):
-            val = fn(n, e)
-            if n == 20 and not val.lo > 0:
-                cert.record_violation(5, n, val.lo, 0, note=f"{label}-positivity")
-            if prev is not None and not prev.strictly_below(val):
-                cert.record_violation(5, n, val.lo, prev.hi, note=f"{label}-growth")
-            prev = val
+            lo, hi = sorted((fn(n, e.lo), fn(n, e.hi)))
+            if n == 20 and not lo > 0:
+                cert.record_violation(5, n, lo, 0, note=f"{label}-positivity")
+            if prev is not None and not prev < lo:
+                cert.record_violation(5, n, lo, prev, note=f"{label}-growth")
+            prev = hi
 
-    coeffs = _top_boundary_coeffs(e)
-    top = sum(c * Rat(1, (28 - 4) ** k) for k, c in enumerate(coeffs))
-    if not top.hi < 0:
-        cert.record_violation(23, 28, top.hi, 0, note="top-bound-n28")
+    ends = _top_boundary_coeffs(e.lo), _top_boundary_coeffs(e.hi)
+    top = max(sum(c * Rat(1, (28 - 4) ** k) for k, c in enumerate(coeffs)) for coeffs in ends)
+    if not top < 0:
+        cert.record_violation(23, 28, top, 0, note="top-bound-n28")
     # every non-constant coefficient is positive, so the bound decreases in n
     # and its negativity at n = 28 extends to all n >= 28
-    for k, coeff in enumerate(coeffs[1:], start=1):
-        if not coeff.lo > 0:
-            cert.record_violation(23, 28, coeff.lo, 0, note=f"top-coeff-{k}")
+    for k, pair in enumerate(zip(*ends)):
+        if k and not min(pair) > 0:
+            cert.record_violation(23, 28, min(pair), 0, note=f"top-coeff-{k}")
     return cert
 
 

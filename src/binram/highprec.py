@@ -109,17 +109,17 @@ def claim5_residual(b: int, n: int, policy: PrecisionPolicy = DEFAULT_POLICY):
     """z(b, n) minus its three-term expansion 1/3 + 4/(135 b) + b/(3 n).
 
     Requires n > 10 b**2 so the expansion's regime applies.  The expansion is
-    exact, so the residual is enclosed as tightly as z; digits double until
-    the enclosure is at most a tenth of the residual wide, and its midpoint
-    is returned as an exact rational.
+    exact, so the residual is enclosed by z's enclosure shifted by it, of the
+    same width; digits double until that width is at most a tenth of the
+    residual's midpoint, which is returned as an exact rational.
     """
     if n < 10 * b * b:
         raise DomainError("expansion regime requires n >= 10 b**2")
     expansion = Rat(1, 3) + Rat(4, 135 * b) + Rat(b, 3 * n)
     for digits in policy.escalation_digits():
-        residual = z_highprec(BinomialSpec(b, n), PrecisionPolicy(digits=digits)) - expansion
-        mid = residual.midpoint()
-        if 10 * residual.width() < abs(mid):
+        z = z_highprec(BinomialSpec(b, n), PrecisionPolicy(digits=digits))
+        mid = (z.lo + z.hi) / 2 - expansion
+        if 10 * (z.hi - z.lo) < abs(mid):
             return mid
     raise PrecisionError(f"residual at (b={b}, n={n}) stayed below the enclosure width")
 

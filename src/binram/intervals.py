@@ -1,10 +1,11 @@
 """Rigorous enclosures with exact rational endpoints.
 
 An :class:`IntervalValue` is a pair of rationals [lo, hi] guaranteed to
-contain a real number.  Arithmetic is outward-directed: every operation
-returns an interval containing the exact image of its operands, so chains of
-operations stay rigorous.  Endpoint blow-up is controlled with
-:meth:`IntervalValue.round_out`, which widens to a fixed power-of-ten grid.
+contain a real number.  It defines no arithmetic: every enclosure in the
+package is a closed form evaluated at the ends of one certified bracket, with
+floor and ceiling putting its endpoints on a grid.  The outward-rounded
+interval chain each closed form equals, or lies inside, is kept as the test
+oracle in ``tests/interval_chain.py``.
 
 Transcendental constants are produced from elementary certified brackets:
 e and 1/e from truncated exponential series with explicit remainder bounds,
@@ -46,87 +47,12 @@ class IntervalValue:
     def __hash__(self):
         return hash((self.lo, self.hi))
 
-    @classmethod
-    def point(cls, x) -> "IntervalValue":
-        x = as_rat(x)
-        return cls(x, x)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> "IntervalValue":
-        other = _coerce(other)
-        return IntervalValue(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "IntervalValue":
-        return IntervalValue(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "IntervalValue":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "IntervalValue":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "IntervalValue":
-        other = _coerce(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return IntervalValue(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "IntervalValue":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval contains zero")
-        return IntervalValue(1 / as_rat(self.hi), 1 / as_rat(self.lo))
-
-    def __truediv__(self, other) -> "IntervalValue":
-        return self * _coerce(other).reciprocal()
-
-    def __rtruediv__(self, other) -> "IntervalValue":
-        return _coerce(other) * self.reciprocal()
-
-    def __pow__(self, k: int) -> "IntervalValue":
-        """The k-th power, for k >= 1 and an interval with lo >= 0."""
-        if k < 1 or self.lo < 0:
-            raise ValueError("power needs k >= 1 and a nonnegative interval")
-        return IntervalValue(as_rat(self.lo) ** k, as_rat(self.hi) ** k)
-
-    # -- structure ----------------------------------------------------------
-
-    def width(self):
-        return self.hi - self.lo
-
-    def midpoint(self):
-        return (as_rat(self.lo) + self.hi) / 2
-
-    def strictly_below(self, other) -> bool:
+    def strictly_below(self, other: "IntervalValue") -> bool:
         """True iff every point of self is < every point of other."""
-        other = _coerce(other)
         return self.hi < other.lo
-
-    def round_out(self, digits: int) -> "IntervalValue":
-        """Widen endpoints outward to denominator 10**digits (caps size growth)."""
-        scale = 10**digits
-        lo = as_rat(self.lo)
-        hi = as_rat(self.hi)
-        lo_scaled = (lo.numerator * scale) // lo.denominator  # floor
-        hi_scaled = -((-hi.numerator * scale) // hi.denominator)  # ceil
-        return IntervalValue(Rat(lo_scaled, scale), Rat(hi_scaled, scale))
 
     def __repr__(self):
         return f"IntervalValue({self.lo!r}, {self.hi!r})"
-
-
-def _coerce(x) -> IntervalValue:
-    if isinstance(x, IntervalValue):
-        return x
-    return IntervalValue.point(x)
 
 
 # -- certified constants ----------------------------------------------------
@@ -165,10 +91,11 @@ def exp_neg_enclosure(b: int, terms: int, digits: int) -> IntervalValue:
     b-th powers give nl**b / dl**b <= exp(-b) <= nh**b / dh**b, and the
     endpoints returned are floor(nl**b 10**digits / dl**b) and
     ceil(nh**b 10**digits / dh**b), over 10**digits.  These are exactly the
-    endpoints of ``(bracket ** b).round_out(digits)``: the power of a
-    rational p/q is the rational p**b / q**b, and round_out takes the floor
-    (ceiling) of the same value times 10**digits.  No b-th power of a
-    rational is reduced, compared or divided.
+    endpoints of the interval chain that raises the bracket to the b-th power
+    and rounds it outward to the grid: the power of a rational p/q is the
+    rational p**b / q**b, and outward rounding takes the floor (ceiling) of
+    the same value times 10**digits.  No b-th power of a rational is reduced,
+    compared or divided.
 
     Carried powers.  The four b-th powers of the last call are kept per
     ``terms``, with the bracket object they were raised from.  A call with
@@ -214,7 +141,7 @@ def sqrt_enclosure(x, digits: int) -> IntervalValue:
     if x < 0:
         raise ValueError("sqrt of negative rational")
     if x == 0:
-        return IntervalValue.point(0)
+        return IntervalValue(x, x)
     scale = 10**digits
     scaled = (x.numerator * scale * scale) // x.denominator
     root = math.isqrt(scaled)

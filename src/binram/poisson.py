@@ -5,10 +5,11 @@ only approximate ingredient is the enclosure of exp(-b), obtained by powering
 a certified 1/e bracket.  All downstream intervals are therefore rigorous:
 the true real value lies between the rational endpoints.
 
-y, alpha, beta and the truncated moments are integer closed forms on a
-10**-k grid: each endpoint is one floor or ceiling division of integers,
-equal to the endpoint the outward interval chain over exact rationals would
-give (proofs in the docstrings).
+y, alpha, beta, the tail, the pmf and the truncated moments are integer
+closed forms on a 10**-k grid: each endpoint is one floor or ceiling division
+of integers, equal to the endpoint the outward interval chain over exact
+rationals would give (proofs in the docstrings).  The chains themselves
+live in the tests, as the oracle these forms are checked against.
 
 The headline quantity is y(b) = (1/2 - P(N < b)) / P(N = b) for N ~ Poisson(b),
 classically confined to (1/3, 1/2) and decreasing, together with the
@@ -37,6 +38,22 @@ def _exp_neg_interval(b: int, digits: int) -> IntervalValue:
     """Enclosure of exp(-b) with relative width about 10**-digits."""
     k = digits + _digits_of_magnitude(b) + 10
     return exp_neg_enclosure(b, terms_for_digits(digits), k)
+
+
+def _times_exp_neg(num: int, den: int, e: IntervalValue, digits: int) -> IntervalValue:
+    """Enclosure of (num / den) exp(-b) on the grid 10**-digits, for integers
+    num >= 0 and den >= 1 and the enclosure e = [p_lo / q_lo, p_hi / q_hi]
+    of exp(-b) from ``_exp_neg_interval``.
+
+    Integer closed form of the interval chain (num / den) e, rounded outward
+    to the grid.  As num / den >= 0, the product is
+    [num p_lo / (den q_lo), num p_hi / (den q_hi)], and outward rounding puts
+    the floor and the ceiling of each end times 10**digits over 10**digits:
+    one integer division per endpoint.
+    """
+    scale = 10**digits
+    return IntervalValue(Rat(num * e.lo.numerator * scale // (den * e.lo.denominator), scale),
+                         Rat(-(-num * e.hi.numerator * scale // (den * e.hi.denominator)), scale))
 
 
 def _on_grid(q, scale: int) -> int:
@@ -70,9 +87,10 @@ def y_poisson(b: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue
     the first attempt d in ``policy.escalation_digits()`` whose width is at
     most 10**-policy.digits.
 
-    Integer closed form of the interval chain ((1/2 - s e) / (t e)).round_out(d),
-    with s = sn/sd = tail_weight(b), t = tn/td = pmf_weight(b) and
-    e in [L, H] / M from ``exp_neg_enclosure`` over a common denominator M.
+    Integer closed form of the interval chain (1/2 - s e) / (t e), rounded
+    outward to the grid 10**-d, with s = sn/sd = tail_weight(b),
+    t = tn/td = pmf_weight(b) and e in [L, H] / M from ``exp_neg_enclosure``
+    over a common denominator M.
     Write y(E1, E2) for (1/2 - s E1/M) / (t E2/M) = N(E1) / (2 sd tn E2), with
     N(E) = td (sd M - 2 sn E).  The chain divides [N(H), N(L)] / (2 sd td M)
     by [tn H, tn L] / (td M), with L > 0, so its least value
@@ -80,7 +98,8 @@ def y_poisson(b: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> IntervalValue
     y(L, L) when N(L) >= 0 and y(L, H) otherwise.  Floor and ceiling put
     these on the grid 10**-d, and the width test
     (y_hi - y_lo) / 10**d <= 10**-policy.digits is checked in integers.
-    L = 0 raises ZeroDivisionError, as the chain's reciprocal did.
+    L = 0 raises ZeroDivisionError, as the chain's division by an interval
+    containing 0 does.
     """
     s = tail_weight(b)
     t = pmf_weight(b)
@@ -116,17 +135,19 @@ def alpha_beta(b: int, policy: PrecisionPolicy = DEFAULT_POLICY):
 
     Integer closed form of the interval chain
 
-        alpha   = (4 / ((y - 1/3) 135) - b).round_out(d),
+        alpha   = 4 / ((y - 1/3) 135) - b,
         squared = 8 / ((4/(135 b) + 1/3 - y) 2835),
-        beta    = ([sqrt_enclosure(squared.lo, d).lo,
-                    sqrt_enclosure(squared.hi, d).hi] - b).round_out(d).
+        beta    = [sqrt_enclosure(squared.lo, d).lo,
+                   sqrt_enclosure(squared.hi, d).hi] - b,
+
+    with alpha and beta rounded outward to the grid 10**-d.
 
     y_poisson at d digits with one escalation puts y on the grid 10**-d or
     10**-2d, so y = [Y_lo, Y_hi] / E with E = 10**2d.  Then
     (y - 1/3) 135 = X(Y) / E with X(Y) = 45 (3 Y - E), increasing in Y, and
     (4/(135 b) + 1/3 - y) 2835 = Z(Y) / (b E) with
-    Z(Y) = 21 ((4 + 45 b) E - 135 b Y), decreasing in Y.  The reciprocal of an
-    interval [u, v] not containing 0 is [1/v, 1/u] on either side of 0, so
+    Z(Y) = 21 ((4 + 45 b) E - 135 b Y), decreasing in Y.  Dividing 1 by an
+    interval [u, v] not containing 0 gives [1/v, 1/u] on either side of 0, so
 
         alpha   = [4 E / X(Y_hi) - b, 4 E / X(Y_lo) - b],
         squared = [8 b E / Z(Y_lo), 8 b E / Z(Y_hi)],
@@ -135,7 +156,8 @@ def alpha_beta(b: int, policy: PrecisionPolicy = DEFAULT_POLICY):
     squared.lo > 0 holds exactly when both Z are positive.  With D = 10**d,
     floor and ceiling give alpha on the grid 1/D (b D is an integer), and
     sqrt_enclosure's floor(x D**2) gives the roots isqrt(floor(8 b E D**2 / Z(Y_lo)))
-    and isqrt(floor(8 b E D**2 / Z(Y_hi))) + 1, over D, which round_out leaves as they are.
+    and isqrt(floor(8 b E D**2 / Z(Y_hi))) + 1, over D, which outward rounding
+    leaves as they are.
     """
     last_exc = None
     for digits in policy.escalation_digits():
@@ -177,13 +199,12 @@ def beta_upper_bound(digits: int = 40) -> IntervalValue:
     """Enclosure of the sharp upper bound -1 + 4/sqrt(21(368 - 135e)) for
     beta(b); beta(1) attains it exactly."""
     e = e_enclosure(terms_for_digits(digits))
-    inner = (e * (-135) + 368) * 21
-    if not inner.lo > 0:
+    # 21 (368 - 135 e) decreases in e, and the bound decreases in it
+    inner_lo, inner_hi = 21 * (368 - 135 * e.hi), 21 * (368 - 135 * e.lo)
+    if not inner_lo > 0:
         raise PrecisionError("e enclosure too wide for the beta bound")
-    root = IntervalValue(
-        sqrt_enclosure(inner.lo, digits).lo, sqrt_enclosure(inner.hi, digits).hi
-    )
-    return 4 * root.reciprocal() - 1
+    return IntervalValue(4 / sqrt_enclosure(inner_hi, digits).hi - 1,
+                         4 / sqrt_enclosure(inner_lo, digits).lo - 1)
 
 
 class PoissonSummary(NamedTuple):
@@ -198,10 +219,13 @@ class PoissonSummary(NamedTuple):
 
 
 def summarize(b: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> PoissonSummary:
+    """Enclosures of P(N < b) and P(N = b) on the grid 10**-policy.digits,
+    with y, alpha and beta from ``alpha_beta``."""
     digits = policy.digits
     e = _exp_neg_interval(b, digits)
-    tail = (tail_weight(b) * e).round_out(digits)
-    pmf = (pmf_weight(b) * e).round_out(digits)
+    s, t = tail_weight(b), pmf_weight(b)
+    tail = _times_exp_neg(s.numerator, s.denominator, e, digits)
+    pmf = _times_exp_neg(t.numerator, t.denominator, e, digits)
     y, alpha, beta = alpha_beta(b, policy)
     return PoissonSummary(b=b, tail=tail, pmf_at_b=pmf, y=y, alpha=alpha, beta=beta)
 
@@ -209,22 +233,13 @@ def summarize(b: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> PoissonSummar
 # -- exact factorial-moment identities ---------------------------------------
 
 
-def factorial_moment_identity(b: int, s: int) -> bool:
-    """Exact check of E[N^(s) 1(N<b)] = b**s P(N < b-s), comparing the rational
-    weights after the common exp(-b) factor cancels."""
-    if not (1 <= s <= b):
-        raise DomainError("need 1 <= s <= b")
-    w = list(poisson_weights(b))
-    lhs = sum(w[i] * math.perm(i, s) for i in range(s, b))
-    rhs = b**s * sum(w[: b - s])
-    return lhs == rhs
-
-
 def factorial_moment_row(b: int) -> list:
-    """[factorial_moment_identity(b, s) for s = 1..b] in one pass: the column
-    w_i i^(s) advances by the factor (i-s+1), the right side is b**s times a
-    prefix sum.  Neither side is re-indexed (i -> i-s would make the sums
-    equal term by term, so the check would hold by construction)."""
+    """Exact checks of E[N^(s) 1(N<b)] = b**s P(N < b-s) for s = 1..b, on the
+    integer weights w_i after the common factor exp(-b) / (b-1)! cancels, as
+    a list of booleans in one pass: the column w_i i^(s) advances by the
+    factor (i-s+1), the right side is b**s times a prefix sum.  Neither side
+    is re-indexed (i -> i-s would make the sums equal term by term, so the
+    check would hold by construction)."""
     col = list(poisson_weights(b))
     prefix = list(itertools.accumulate(col, initial=0))  # prefix[m] = sum_{i<m} w_i
     row, power = [], 1
@@ -248,12 +263,9 @@ def truncated_moment(
     on the grid 10**-d, d = policy.digits: an exact rational weight times the
     exp(-b) enclosure.
 
-    Integer closed form of the interval chain (W * e).round_out(d), with
-    W = A / (b-1)! for the integer weight sum A = sum_i w_i (b-i)**k (times i
-    for h2) and e = [p_lo / q_lo, p_hi / q_hi] from ``exp_neg_enclosure``.
-    As A >= 0, the product is [A p_lo / ((b-1)! q_lo), A p_hi / ((b-1)! q_hi)],
-    and round_out puts the floor and the ceiling of each end times 10**d
-    over 10**d: one integer division per endpoint.
+    The weight is A / (b-1)! for the integer weight sum
+    A = sum_i w_i (b-i)**k (times i for h2), and A >= 0, so the enclosure is
+    ``_times_exp_neg``'s closed form.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -261,11 +273,8 @@ def truncated_moment(
         raise DomainError("which must be 'h1' or 'h2'")
     acc = sum(w * (b - i) ** k * (i if which == "h2" else 1)
               for i, w in enumerate(poisson_weights(b)))
-    e = _exp_neg_interval(b, policy.digits)
-    scale = 10**policy.digits
-    fact = math.factorial(b - 1)
-    return IntervalValue(Rat(acc * e.lo.numerator * scale // (fact * e.lo.denominator), scale),
-                         Rat(-(-acc * e.hi.numerator * scale // (fact * e.hi.denominator)), scale))
+    return _times_exp_neg(acc, math.factorial(b - 1), _exp_neg_interval(b, policy.digits),
+                          policy.digits)
 
 
 def falling_factorial_sum(k: int, s: int) -> int:

@@ -1,10 +1,13 @@
 """Inequality certificates on reduced ranges: statuses, the known corner
 violations of the medium-band sufficient inequality, the root products'
-sharpness, the derivative-sign tail argument, and the forward-difference
-proofs of the Appendix C families against their direct scans."""
+sharpness, the derivative-sign tail argument, the forward-difference
+proofs of the Appendix C families against their direct scans, and the
+boundary-case bounds at the ends of the e bracket against the interval
+chain."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,9 +22,12 @@ from binram.certificates import (
     VIOLATED,
     _ROOT_PRODUCTS,
     _above_half_cleared,
+    _ineq1,
+    _ineq2,
     _positive_from,
     _root_product,
     _tail_positive,
+    _top_boundary_coeffs,
     _z_bound_gap,
     above_half_bracket,
     check_above_half,
@@ -36,8 +42,10 @@ from binram.certificates import (
     z_diff_lower_bound,
 )
 from binram.exactcore import BinomialSpec, DomainError, ramanujan_z, tail_pmf_numerators
+from binram.intervals import IntervalValue, e_enclosure, terms_for_digits
 from binram.kernel import derivative_closed_form, eval_P, eval_R
 from binram.report import Report
+from interval_chain import chain
 
 
 def test_tail_positive():
@@ -389,6 +397,92 @@ def test_sign_suite_witness_reaches_the_boundary_certificate(monkeypatch):
 def test_boundary_cases_verified():
     cert = check_boundary_cases(n_scan=80)
     assert cert.status == VERIFIED
+
+
+E40 = e_enclosure(terms_for_digits(40))  # the bracket check_boundary_cases uses
+E_BRACKETS = {
+    "40 digits": E40,
+    "e_lo + 1/100": IntervalValue(E40.lo, E40.lo + Rat(1, 100)),
+    "e_lo - 1/100": IntervalValue(E40.lo - Rat(1, 100), E40.hi),
+    "from 23/10": IntervalValue(Rat(23, 10), E40.hi),  # c_3 = 832/3 - 5225/(8e) < 0 at 23/10
+    "up to 3": IntervalValue(E40.lo, Rat(3)),  # c_1 = 18649/(24e) - 824/3 < 0 at 3
+}
+TOP_POWERS = [Rat(1, (28 - 4) ** k) for k in range(6)]
+
+
+def chain_boundary_bounds(e):
+    """The split bounds at n = 20, 40, ..., 200, the top-boundary coefficients
+    and their sum at n = 28, as interval chains over the bracket e."""
+    e = chain(e)
+    coeffs = _top_boundary_coeffs(e)
+    return ({(fn, n): fn(n, e) for fn in (_ineq1, _ineq2) for n in range(20, 201, 20)},
+            coeffs, sum(c * p for c, p in zip(coeffs, TOP_POWERS)))
+
+
+@pytest.mark.parametrize("bracket", E_BRACKETS)
+def test_boundary_bounds_at_the_bracket_ends_match_the_chain(bracket):
+    """_ineq1 and each top coefficient equal their chains endpoint for
+    endpoint; _ineq2, with e in three terms, and the sum at n = 28 lie
+    inside theirs."""
+    e = E_BRACKETS[bracket]
+    bounds, coeffs, top = chain_boundary_bounds(e)
+    for (fn, n), want in bounds.items():
+        lo, hi = sorted((fn(n, e.lo), fn(n, e.hi)))
+        if fn is _ineq1:
+            assert (lo, hi) == (want.lo, want.hi), n
+        else:
+            assert want.lo <= lo <= hi <= want.hi, n
+    ends = _top_boundary_coeffs(e.lo), _top_boundary_coeffs(e.hi)
+    for k, (pair, want) in enumerate(zip(zip(*ends), coeffs)):
+        assert (min(pair), max(pair)) == (want.lo, want.hi), k
+    sums = [sum(c * p for c, p in zip(cs, TOP_POWERS)) for cs in ends]
+    assert top.lo <= min(sums) <= max(sums) <= top.hi
+
+
+def growth(label, ns):
+    return [(5, n, f"{label}-growth") for n in ns]
+
+
+# (b, n, note) of each witness on a wrong bracket: the lists the interval chain gave too
+FORCED_WITNESSES = {
+    "e_lo + 1/100": [(5, 20, "ineq1-positivity")] + growth("ineq1", range(60, 201, 20)),
+    "e_lo - 1/100": growth("ineq1", range(40, 201, 20)) + [(23, 28, "top-bound-n28")],
+    "from 23/10": (growth("ineq1", range(40, 201, 20)) + growth("ineq2", range(40, 201, 20))
+                   + [(23, 28, "top-bound-n28"), (23, 28, "top-coeff-3")]),
+    "up to 3": ([(5, 20, "ineq1-positivity")] + growth("ineq1", range(40, 201, 20))
+                + [(5, 20, "ineq2-positivity")] + growth("ineq2", range(40, 201, 20))
+                + [(23, 28, "top-coeff-1")]),
+}
+
+
+@pytest.mark.parametrize("bracket", FORCED_WITNESSES)
+def test_boundary_bound_witnesses_on_a_wrong_e_bracket(monkeypatch, bracket):
+    """Parts (iv) and (v) fail on a bracket that is too wide or misplaced.
+    Where the chain is exact (_ineq1, the coefficients), each witness holds
+    the chain's endpoints; the _ineq2 and n = 28 witnesses lie inside it."""
+    e = E_BRACKETS[bracket]
+    monkeypatch.setattr(certificates, "e_enclosure", lambda terms: e)
+    cert = check_boundary_cases(n_scan=30)
+    assert cert.status == VIOLATED
+    assert [(w.b, w.n, w.note) for w in cert.witnesses] == FORCED_WITNESSES[bracket]
+    bounds, coeffs, top = chain_boundary_bounds(e)
+    for w in cert.witnesses:
+        lhs, rhs = Fraction(w.raw_lhs), Fraction(w.raw_rhs)
+        if w.note == "top-bound-n28":
+            assert top.lo <= lhs <= top.hi and rhs == 0
+        elif w.note.startswith("top-coeff-"):
+            assert (lhs, rhs) == (coeffs[int(w.note[-1])].lo, 0)
+        elif w.note.startswith("ineq1-"):  # lhs = val.lo, rhs = the previous val.hi or 0
+            prev = 0 if w.note.endswith("positivity") else bounds[_ineq1, w.n - 20].hi
+            assert (lhs, rhs) == (bounds[_ineq1, w.n].lo, prev)
+        else:
+            val = bounds[_ineq2, w.n]
+            assert val.lo <= lhs <= val.hi
+            if w.note.endswith("positivity"):
+                assert rhs == 0
+            else:
+                prev = bounds[_ineq2, w.n - 20]
+                assert prev.lo <= rhs <= prev.hi
 
 
 def test_root_bounds_verified_with_sharpness():

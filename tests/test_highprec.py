@@ -20,7 +20,8 @@ from binram.highprec import (
     z_diff_sign,
     z_highprec,
 )
-from binram.precision import PrecisionPolicy
+from binram.precision import PrecisionError, PrecisionPolicy
+from interval_chain import chain
 
 POLICY = PrecisionPolicy(digits=30, max_escalations=3)
 
@@ -29,9 +30,10 @@ def assert_encloses_exact(b, n):
     enclosure = z_highprec(BinomialSpec(b, n), POLICY)
     exact = tail_value(BinomialSpec(b, n))
     assert enclosure.lo <= exact.z <= enclosure.hi
-    assert enclosure.width() < Rat(1, 10**20)
+    width = enclosure.hi - enclosure.lo
+    assert width < Rat(1, 10**20)
     # the width z_highprec documents: below 10**-digits / (8 (n-b+1) P(X = b))
-    assert enclosure.width() < 1 / (8 * (n - b + 1) * exact.pmf_at_b * 10**POLICY.digits)
+    assert width < 1 / (8 * (n - b + 1) * exact.pmf_at_b * 10**POLICY.digits)
 
 
 @pytest.mark.parametrize("b,n", [(1, 3), (5, 17), (20, 100), (40, 120), (13, 13)])
@@ -103,11 +105,30 @@ def test_claim5_residual_regime_guard():
         claim5_residual(10, 999)  # n < 10 b**2
 
 
+def chain_claim5_residual(b, n, policy):
+    """claim5_residual as the interval chain it replaces: z's enclosure minus
+    the expansion, its midpoint and width read off the difference."""
+    expansion = Rat(1, 3) + Rat(4, 135 * b) + Rat(b, 3 * n)
+    for digits in policy.escalation_digits():
+        residual = chain(z_highprec(BinomialSpec(b, n), PrecisionPolicy(digits=digits))) - expansion
+        mid = residual.midpoint()
+        if 10 * residual.width() < abs(mid):
+            return mid
+    raise PrecisionError(f"residual at (b={b}, n={n}) stayed below the enclosure width")
+
+
 def test_claim5_residual_magnitude():
     # residual ~ -4/(135 b) * (something O(1/b^0.5)): check the pinned scale
     r = claim5_residual(30, 9000, POLICY)
     scaled = abs(r) * mpmath.mpf(30) ** 1.5
     assert mpmath.mpf("0.0005") < scaled < mpmath.mpf("0.0012")
+    assert r == chain_claim5_residual(30, 9000, POLICY)
+
+
+@pytest.mark.parametrize("b", [30, 60, 120])
+def test_claim5_residual_matches_the_interval_chain_at_criterion_8(b):
+    policy = PrecisionPolicy(digits=60, max_escalations=3)
+    assert claim5_residual(b, 10 * b * b, policy) == chain_claim5_residual(b, 10 * b * b, policy)
 
 
 @pytest.mark.parametrize("n", [10**4, 12345, 20001, 4 * 10**4, 77777, 10**5,

@@ -1,7 +1,8 @@
-"""Interval arithmetic: outward rounding, enclosure correctness for e,
-exp(-b) and square roots, checked against mpmath at higher precision,
-exp(-b) from carried powers against powers raised from scratch, and
-rational powers checked against exact Fraction powers."""
+"""Intervals: the test oracle's outward-rounded arithmetic, no arithmetic on
+the package's own intervals, enclosure correctness for e, exp(-b) and square
+roots, checked against mpmath at higher precision, exp(-b) from carried
+powers against powers raised from scratch, and rational powers checked
+against exact Fraction powers."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ from binram.intervals import (
     sqrt_enclosure,
     terms_for_digits,
 )
+from interval_chain import ChainInterval
 
 
 SNAP_DIGITS = 130  # finer than every enclosure width exercised below
@@ -44,8 +46,8 @@ rationals = st.fractions(min_value=-100, max_value=100)
 @given(rationals, rationals, rationals, rationals)
 @settings(max_examples=200, deadline=None)
 def test_mul_contains_pointwise_products(a, b, c, d):
-    x = IntervalValue(Rat(min(a, b)), Rat(max(a, b)))
-    y = IntervalValue(Rat(min(c, d)), Rat(max(c, d)))
+    x = ChainInterval(Rat(min(a, b)), Rat(max(a, b)))
+    y = ChainInterval(Rat(min(c, d)), Rat(max(c, d)))
     prod = x * y
     for p in (a, b):
         for q in (c, d):
@@ -55,7 +57,7 @@ def test_mul_contains_pointwise_products(a, b, c, d):
 @given(rationals, rationals)
 @settings(max_examples=200, deadline=None)
 def test_add_sub_envelope(a, b):
-    x = IntervalValue(Rat(min(a, b)), Rat(max(a, b)))
+    x = ChainInterval(Rat(min(a, b)), Rat(max(a, b)))
     s = x + x
     d = x - x
     assert s.lo <= 2 * Rat(a) <= s.hi
@@ -64,22 +66,32 @@ def test_add_sub_envelope(a, b):
 
 def test_reciprocal_rejects_zero_straddle():
     with pytest.raises(ZeroDivisionError):
-        IntervalValue(Rat(-1), Rat(1)).reciprocal()
+        ChainInterval(Rat(-1), Rat(1)).reciprocal()
 
 
 def test_pow_rejects_negative_base_and_nonpositive_exponent():
-    assert IntervalValue(Rat(1, 3), Rat(1, 2)) ** 3 == IntervalValue(Rat(1, 27), Rat(1, 8))
+    assert ChainInterval(Rat(1, 3), Rat(1, 2)) ** 3 == IntervalValue(Rat(1, 27), Rat(1, 8))
     with pytest.raises(ValueError):
-        IntervalValue(Rat(-2), Rat(3)) ** 2
+        ChainInterval(Rat(-2), Rat(3)) ** 2
     with pytest.raises(ValueError):
-        IntervalValue(Rat(1, 3), Rat(1, 2)) ** 0
+        ChainInterval(Rat(1, 3), Rat(1, 2)) ** 0
 
 
 def test_round_out_widens_and_contains():
-    x = IntervalValue(Rat(1, 3), Rat(2, 3))
+    x = ChainInterval(Rat(1, 3), Rat(2, 3))
     r = x.round_out(6)
     assert r.lo <= x.lo and x.hi <= r.hi
     assert r.lo.denominator <= 10**6 and r.hi.denominator <= 10**6
+
+
+def test_package_intervals_define_no_arithmetic():
+    x = IntervalValue(Rat(1, 3), Rat(1, 2))
+    for op in (lambda: x + x, lambda: x - 1, lambda: 2 * x, lambda: 1 / x, lambda: x / x,
+               lambda: -x, lambda: x ** 2):
+        with pytest.raises(TypeError):
+            op()
+    for name in ("point", "reciprocal", "round_out", "width", "midpoint"):
+        assert not hasattr(x, name), name
 
 
 def test_sign_and_comparisons():
@@ -94,7 +106,7 @@ def test_e_enclosure_contains_e():
         for digits in (20, 40, 60):
             enc = e_enclosure(terms_for_digits(digits))
             assert contains_mp(enc, mpmath.e)
-            assert enc.width() < Rat(1, 10**digits)
+            assert enc.hi - enc.lo < Rat(1, 10**digits)
 
 
 def test_exp_neg1_alternating_bracket():
@@ -215,12 +227,13 @@ def test_interleaved_brackets_each_keep_their_carried_powers(monkeypatch):
 def test_sqrt_enclosure(x):
     enc = sqrt_enclosure(x, 40)
     assert enc.lo * enc.lo <= x <= enc.hi * enc.hi
-    assert enc.width() <= Rat(2, 10**40)
+    assert enc.hi - enc.lo <= Rat(2, 10**40)
 
 
 def test_sqrt_exact_square_tight():
     enc = sqrt_enclosure(Rat(49), 20)
     assert enc.lo <= 7 <= enc.hi
+    assert sqrt_enclosure(Rat(0), 20) == IntervalValue(Rat(0), Rat(0))
 
 
 @given(st.integers(1, 1000), st.integers(0, 1000), st.integers(0, 400), st.integers(0, 64))

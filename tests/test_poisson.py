@@ -17,7 +17,6 @@ from binram.poisson import (
     alpha_beta,
     beta_meets_upper_bound,
     beta_upper_bound,
-    factorial_moment_identity,
     factorial_moment_row,
     falling_factorial_sum,
     pmf_weight,
@@ -27,6 +26,7 @@ from binram.poisson import (
     y_poisson,
 )
 from binram.precision import PrecisionError, PrecisionPolicy
+from interval_chain import ChainInterval, chain
 
 POLICY = PrecisionPolicy(digits=40, max_escalations=2)
 
@@ -85,6 +85,17 @@ def test_y_strictly_decreasing_sample():
         prev = cur
 
 
+def factorial_moment_identity(b: int, s: int) -> bool:
+    """Exact check of E[N^(s) 1(N<b)] = b**s P(N < b-s), comparing the rational
+    weights after the common exp(-b) factor cancels."""
+    if not (1 <= s <= b):
+        raise DomainError("need 1 <= s <= b")
+    w = list(poisson.poisson_weights(b))
+    lhs = sum(w[i] * math.perm(i, s) for i in range(s, b))
+    rhs = b**s * sum(w[: b - s])
+    return lhs == rhs
+
+
 def test_factorial_moment_identity():
     for b in range(1, 61):
         per_pair = [factorial_moment_identity(b, s) for s in range(1, b + 1)]
@@ -124,17 +135,40 @@ def test_beta_meets_upper_bound():
             assert beta_meets_upper_bound(b, summarize(b, policy).beta, ub)
         # the b = 1 check can fail: moved by more than both widths, they are disjoint
         beta1 = summarize(1, policy).beta
-        shift = beta1.width() + ub.width() + Rat(1, 10**digits)
-        assert not beta_meets_upper_bound(1, beta1, ub + shift)
-        assert not beta_meets_upper_bound(1, beta1, ub - shift)
+        shift = beta1.hi - beta1.lo + ub.hi - ub.lo + Rat(1, 10**digits)
+        assert not beta_meets_upper_bound(1, beta1, chain(ub) + shift)
+        assert not beta_meets_upper_bound(1, beta1, chain(ub) - shift)
         # from b = 2 on, reaching the bound is a violation
         assert not beta_meets_upper_bound(2, beta1, ub)
+
+
+def chain_beta_upper_bound(digits):
+    """beta_upper_bound as the interval chain its two-end form replaces."""
+    e = chain(poisson.e_enclosure(terms_for_digits(digits)))
+    inner = (e * (-135) + 368) * 21
+    if not inner.lo > 0:
+        raise PrecisionError("e enclosure too wide for the beta bound")
+    root = ChainInterval(
+        sqrt_enclosure(inner.lo, digits).lo, sqrt_enclosure(inner.hi, digits).hi
+    )
+    return 4 * root.reciprocal() - 1
 
 
 def test_beta_upper_bound_value():
     ub = beta_upper_bound(40)
     # -1 + 4/sqrt(21(368 - 135 e)) = -0.1407483955646...
     assert Rat(-14075, 10**5) < ub.lo and ub.hi < Rat(-14074, 10**5)
+    for digits in (30, 40, 60):
+        assert beta_upper_bound(digits) == chain_beta_upper_bound(digits), digits
+
+
+@pytest.mark.parametrize("bracket", [
+    (Rat(27, 10), Rat(272, 100)),  # wide: the two roots differ in their first digit
+    (Rat(2), Rat(368, 135)),  # 21 (368 - 135 e) reaches 0: PrecisionError
+])
+def test_beta_upper_bound_on_a_wrong_bracket_matches_the_chain(monkeypatch, bracket):
+    monkeypatch.setattr(poisson, "e_enclosure", lambda terms: IntervalValue(*bracket))
+    assert outcome(beta_upper_bound, 40) == outcome(chain_beta_upper_bound, 40)
 
 
 def test_beta_at_1_attains_bound_numerically():
@@ -176,7 +210,7 @@ def test_summarize_consistency():
 
 
 def ref_exp_neg(b, digits):
-    """exp(-b) as the b-th power of the 1/e bracket, rounded out by IntervalValue."""
+    """exp(-b) as the b-th power of the 1/e bracket, rounded out by the interval chain."""
     k = digits + poisson._digits_of_magnitude(b) + 10
     return ref_power(intervals.exp_neg1_enclosure(terms_for_digits(digits)), b, k)
 
@@ -184,7 +218,7 @@ def ref_exp_neg(b, digits):
 @functools.lru_cache(maxsize=None)
 def ref_power(bracket, b, k):
     # keyed by the bracket itself, so a monkeypatched 1/e bracket misses the cache
-    return (bracket ** b).round_out(k)
+    return (chain(bracket) ** b).round_out(k)
 
 
 def ref_y(b, policy):
@@ -201,7 +235,7 @@ def ref_y(b, policy):
 def ref_alpha_beta(b, policy, y_of=ref_y):
     last_exc = None
     for digits in policy.escalation_digits():
-        y = y_of(b, PrecisionPolicy(digits=digits, max_escalations=1))
+        y = chain(y_of(b, PrecisionPolicy(digits=digits, max_escalations=1)))
         try:
             alpha = 4 / ((y - Rat(1, 3)) * 135) - b
             squared = 8 / ((Rat(4, 135 * b) + Rat(1, 3) - y) * 2835)
@@ -211,7 +245,7 @@ def ref_alpha_beta(b, policy, y_of=ref_y):
         if not squared.lo > 0:
             last_exc = None
             continue
-        root = IntervalValue(sqrt_enclosure(squared.lo, digits).lo,
+        root = ChainInterval(sqrt_enclosure(squared.lo, digits).lo,
                              sqrt_enclosure(squared.hi, digits).hi)
         return y, alpha.round_out(digits), (root - b).round_out(digits)
     raise PrecisionError(f"alpha/beta for b={b}: denominator stayed inconclusive") from last_exc
@@ -223,15 +257,18 @@ def ref_truncated_moment(b, k, which, policy):
     return (weight * ref_exp_neg(b, policy.digits)).round_out(policy.digits)
 
 
+def chain_times_exp_neg(weight, b, digits):
+    """An exact rational weight times the exp(-b) enclosure, rounded out: the
+    interval chain that ``poisson._times_exp_neg`` replaces."""
+    return (weight * chain(poisson._exp_neg_interval(b, digits))).round_out(digits)
+
+
 def chain_truncated_moment(b, k, which, policy):
-    """truncated_moment as the interval chain it replaces: the exact weight
-    times the exp(-b) enclosure, rounded out (ref_truncated_moment sums the
-    same weight one Fraction per term, too slow to run at every b)."""
+    """truncated_moment as the interval chain it replaces (ref_truncated_moment
+    sums the same weight one Fraction per term, too slow to run at every b)."""
     acc = sum(w * (b - i) ** k * (i if which == "h2" else 1)
               for i, w in enumerate(poisson.poisson_weights(b)))
-    weight = Rat(acc, math.factorial(b - 1))
-    digits = policy.digits
-    return (weight * poisson._exp_neg_interval(b, digits)).round_out(digits)
+    return chain_times_exp_neg(Rat(acc, math.factorial(b - 1)), b, policy.digits)
 
 
 def outcome(fn, *args):
@@ -274,6 +311,9 @@ def test_truncated_moment_matches_the_interval_chain(digits):
             for which in ("h1", "h2"):
                 assert (truncated_moment(b, k, which, policy)
                         == chain_truncated_moment(b, k, which, policy)), (b, k, which)
+        got = summarize(b, policy)
+        assert got.tail == chain_times_exp_neg(tail_weight(b), b, digits), b
+        assert got.pmf_at_b == chain_times_exp_neg(pmf_weight(b), b, digits), b
 
 
 @pytest.mark.parametrize("b,bracket", [
