@@ -11,6 +11,7 @@ inconclusive results only, 64 usage error, 70 resource guard exceeded or a
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import marshal
 import os
 import sys
@@ -25,34 +26,37 @@ except ImportError as exc:  # BackendError: BINRAM_BACKEND names no usable backe
     print(f"binram: {exc}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE) from None
 
-from .certificates import (
-    check_above_half,
-    check_boundary_cases,
-    check_exp_bounds,
-    check_medium,
-    check_r_positivity,
-    check_root_bounds,
-    check_small_b,
-    check_z_lowerbound,
-    claim1_suite,
-    claim2_suite,
-    claim3_suite,
-    lemma1_suite,
-    moments_suite,
-    poisson_suite,
-    thm3_sign_suite,
-)
-from .exactcore import EXACT_CUTOFF, DomainError, p_diff_signs, z_diff_signs
-from .highprec import theorem2_threshold
-from .kernel import ORACLE_MAX_N, ResourceError
-from .precision import PrecisionPolicy
-from .report import CSV_HEADER, SCAN_P_HEADER, Report, merge_reports
-from .smalldev import (
-    conjecture_grid,
-    conjecture_scan,
-    tilde_p_monotonicity_scan,
-    verify_samuels,
-)
+
+def _lazy(name: str):
+    """The module binram.<name>, put in sys.modules through importlib's
+    LazyLoader if no import has put it there yet: it runs when one of its
+    attributes is first read, so a subcommand runs only the modules it calls.
+    It is bound on the package too, so ``from . import <name>`` in another
+    module takes it without running it.  ``import binram.<name>`` and ``from
+    binram.<name> import ...`` run such a module at once (Python 3.11 reads
+    its __spec__), so the CLI binds its modules only here and reads each name
+    from its module at call time."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+_certificates = _lazy("certificates")
+_exactcore = _lazy("exactcore")
+_highprec = _lazy("highprec")
+_kernel = _lazy("kernel")
+_precision = _lazy("precision")
+_report = _lazy("report")
+_smalldev = _lazy("smalldev")
+# The CLI calls neither of these two; they are registered so that perfbench's
+# tracer, which reads sys.modules after importing the CLI, finds every layer.
+_lazy("intervals")
+_lazy("poisson")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,7 +122,8 @@ def build_parser() -> _Parser:
 
     _add_common(subs.add_parser("scan-p", help="exact tail-difference sign scan"),
                 n_max=300, workers=True)
-    scan_z = subs.add_parser("scan-z", help=f"exact z-difference sign map (n <= {EXACT_CUTOFF})")
+    scan_z = subs.add_parser("scan-z", help="exact z-difference sign map "
+                                            f"(n <= {_exactcore.EXACT_CUTOFF})")
     _add_common(scan_z, n_max=300, workers=True)
     thr = subs.add_parser("threshold", help="locate the z sign-flip near sqrt(77n/360)")
     thr.add_argument("--n", type=int, required=True)
@@ -134,7 +139,7 @@ def build_parser() -> _Parser:
     for target in ("appendix-b", "appendix-c", "root-bounds"):
         _add_common(cert_targets.add_parser(target))
     for target in ("exp-bounds", "z-lowerbound"):
-        _add_common(cert_targets.add_parser(target), n_max=EXACT_CUTOFF)
+        _add_common(cert_targets.add_parser(target), n_max=_exactcore.EXACT_CUTOFF)
     sd = subs.add_parser("smalldev", help="small-deviation reductions")
     sd_targets = sd.add_subparsers(dest="target", required=True)
     _add_common(sd_targets.add_parser("samuels"), n_max=200)
@@ -185,9 +190,9 @@ def _apply_config(parser: _Parser, argv: list) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _emit(report: Report, args) -> int:
+def _emit(report: _report.Report, args) -> int:
     if not report.results:
-        raise DomainError(f"{args.command}: the requested range holds no point to check")
+        raise _exactcore.DomainError(f"{args.command}: the requested range holds no point to check")
     report.meta.setdefault("header", report.header)
     if args.out:
         report.write(args.out, args.format)
@@ -261,7 +266,8 @@ class ProcessPoolExecutor:
             except OSError as exc:
                 os.close(reader)
                 os.close(writer)
-                raise ResourceError(f"cannot fork worker {number + 1} of {k}: {exc}") from None
+                raise _kernel.ResourceError(
+                    f"cannot fork worker {number + 1} of {k}: {exc}") from None
             if pid == 0:
                 _run_share(fn, items, shares[number], writer,
                            [reader] + [r for _, _, r in self._children])
@@ -295,8 +301,8 @@ class ProcessPoolExecutor:
         number, what = failure
         share = shares[number]
         listed = ", ".join(str(items[i]) for i in share[:4]) + (", ..." if len(share) > 4 else "")
-        raise ResourceError(f"--workers: the share of worker {number + 1} of {k} "
-                            f"({len(share)} items: {listed}) {what}")
+        raise _kernel.ResourceError(f"--workers: the share of worker {number + 1} of {k} "
+                                    f"({len(share)} items: {listed}) {what}")
 
 
 def _run_share(fn, items: list, share: list, writer: int, readers: list):
@@ -337,9 +343,9 @@ def _signs_by_n(row, n_max: int, workers: int) -> list:
     parent is not left idle.
     """
     if workers < 1:
-        raise DomainError(f"--workers must be >= 1, got {workers}")
+        raise _exactcore.DomainError(f"--workers must be >= 1, got {workers}")
     if workers > 1 and not hasattr(os, "fork"):
-        raise DomainError("--workers above 1 needs os.fork, which this platform lacks")
+        raise _exactcore.DomainError("--workers above 1 needs os.fork, which this platform lacks")
     ns = range(n_max, 1, -1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -350,24 +356,26 @@ def _signs_by_n(row, n_max: int, workers: int) -> list:
 
 
 def cmd_scan_p(args) -> int:
-    report = Report(meta=_meta(args, n_max=args.n_max), header=SCAN_P_HEADER)
-    thm3_sign_suite(report, _signs_by_n(p_diff_signs, args.n_max, args.workers))
+    report = _report.Report(meta=_meta(args, n_max=args.n_max), header=_report.SCAN_P_HEADER)
+    rows = _signs_by_n(_exactcore.p_diff_signs, args.n_max, args.workers)
+    _certificates.thm3_sign_suite(report, rows)
     return _emit(report, args)
 
 
 def cmd_scan_z(args) -> int:
-    if args.n_max > EXACT_CUTOFF:
-        raise ResourceError(f"scan-z is exact and guarded at n <= {EXACT_CUTOFF}")
-    report = Report(meta=_meta(args, n_max=args.n_max),
-                    header=["claim_id", "b", "n", "sign"])
-    for n, signs in _signs_by_n(z_diff_signs, args.n_max, args.workers):
+    if args.n_max > _exactcore.EXACT_CUTOFF:
+        raise _kernel.ResourceError(
+            f"scan-z is exact and guarded at n <= {_exactcore.EXACT_CUTOFF}")
+    report = _report.Report(meta=_meta(args, n_max=args.n_max),
+                            header=["claim_id", "b", "n", "sign"])
+    for n, signs in _signs_by_n(_exactcore.z_diff_signs, args.n_max, args.workers):
         report.results.extend(["z-sign", b, n, sign] for b, sign in enumerate(signs, start=1))
     return _emit(report, args)
 
 
 def cmd_threshold(args) -> int:
-    tr = theorem2_threshold(args.n, PrecisionPolicy(digits=args.digits))
-    report = Report(
+    tr = _highprec.theorem2_threshold(args.n, _precision.PrecisionPolicy(digits=args.digits))
+    report = _report.Report(
         meta=_meta(args, n=args.n, digits=args.digits, predicted=tr.predicted,
                    window=list(tr.window)),
         header=["claim_id", "n", "b_star_low", "b_star_high",
@@ -384,31 +392,34 @@ def cmd_threshold(args) -> int:
 
 
 _VERIFY_SUITES = {  # each claim's suite at the CLI's clamps
-    "1": lambda report, n_max: claim1_suite(report, min(n_max, ORACLE_MAX_N)),
-    "2": lambda report, n_max: claim2_suite(report, min(n_max, 30)),
-    "3": lambda report, n_max: claim3_suite(report, range(10, min(n_max, 200) + 1, 10)),
-    "lemma1": lambda report, n_max: lemma1_suite(report, min(n_max, 200), 30),
-    "moments": lambda report, n_max: moments_suite(report, (25, 100)),
+    "1": lambda report, n_max: _certificates.claim1_suite(
+        report, min(n_max, _kernel.ORACLE_MAX_N)),
+    "2": lambda report, n_max: _certificates.claim2_suite(report, min(n_max, 30)),
+    "3": lambda report, n_max: _certificates.claim3_suite(
+        report, range(10, min(n_max, 200) + 1, 10)),
+    "lemma1": lambda report, n_max: _certificates.lemma1_suite(report, min(n_max, 200), 30),
+    "moments": lambda report, n_max: _certificates.moments_suite(report, (25, 100)),
 }
 
 
 def cmd_verify(args) -> int:
     if args.n_max < 1:
-        raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
+        raise _exactcore.DomainError(f"--n-max must be >= 1, got {args.n_max}")
     claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     if not claims:
-        raise DomainError(f"--claims {args.claims!r} is an empty claim list")
-    report = Report(meta=_meta(args, claims=claims, n_max=args.n_max), header=CSV_HEADER)
+        raise _exactcore.DomainError(f"--claims {args.claims!r} is an empty claim list")
+    report = _report.Report(meta=_meta(args, claims=claims, n_max=args.n_max),
+                            header=_report.CSV_HEADER)
     for claim in claims:
         if claim not in _VERIFY_SUITES:
-            raise DomainError(f"unknown claim {claim!r}")
+            raise _exactcore.DomainError(f"unknown claim {claim!r}")
         if claims.count(claim) > 1:
-            raise DomainError(f"claim {claim!r} listed more than once")
+            raise _exactcore.DomainError(f"claim {claim!r} listed more than once")
     for claim in claims:
         checked = len(report.results)
         _VERIFY_SUITES[claim](report, args.n_max)
         if len(report.results) == checked:
-            raise DomainError(f"claim {claim} at --n-max {args.n_max} covers no point")
+            raise _exactcore.DomainError(f"claim {claim} at --n-max {args.n_max} covers no point")
     return _emit(report, args)
 
 
@@ -416,34 +427,35 @@ def cmd_verify(args) -> int:
 
 
 def cmd_poisson(args) -> int:
-    policy = PrecisionPolicy(digits=args.digits)
-    report = Report(
+    policy = _precision.PrecisionPolicy(digits=args.digits)
+    report = _report.Report(
         meta=_meta(args, b_max=args.b_max, digits=args.digits),
         header=["claim_id", "b", "y_lo", "y_hi", "alpha_lo", "alpha_hi",
                 "beta_lo", "beta_hi"],
     )
-    poisson_suite(report, args.b_max, policy, bound_digits=args.digits)
+    _certificates.poisson_suite(report, args.b_max, policy, bound_digits=args.digits)
     return _emit(report, args)
 
 
 # -- certify ----------------------------------------------------------------------
 
 
-_CERTIFY = {  # each target's certificates; the checks are module globals, read per call
-    "appendix-b": lambda args: [check_boundary_cases()],
-    "appendix-c": lambda args: [check_small_b(), check_medium(), check_above_half(),
-                                check_r_positivity()],
-    "root-bounds": lambda args: [check_root_bounds()],
-    "exp-bounds": lambda args: [check_exp_bounds(n_max=args.n_max)],
-    "z-lowerbound": lambda args: [check_z_lowerbound(n_max=args.n_max)],
+_CERTIFY = {  # each target's certificates; each check is read from its module per call
+    "appendix-b": lambda args: [_certificates.check_boundary_cases()],
+    "appendix-c": lambda args: [_certificates.check_small_b(), _certificates.check_medium(),
+                                _certificates.check_above_half(),
+                                _certificates.check_r_positivity()],
+    "root-bounds": lambda args: [_certificates.check_root_bounds()],
+    "exp-bounds": lambda args: [_certificates.check_exp_bounds(n_max=args.n_max)],
+    "z-lowerbound": lambda args: [_certificates.check_z_lowerbound(n_max=args.n_max)],
 }
 
 
 def cmd_certify(args) -> int:
-    if getattr(args, "n_max", 0) > EXACT_CUTOFF:  # only the two exact scans take --n-max
-        raise ResourceError(f"certify {args.target} is exact and guarded at "
-                            f"--n-max <= {EXACT_CUTOFF}")
-    report = Report(meta=_meta(args, target=args.target), header=CSV_HEADER)
+    if getattr(args, "n_max", 0) > _exactcore.EXACT_CUTOFF:  # only the two exact scans take --n-max
+        raise _kernel.ResourceError(f"certify {args.target} is exact and guarded at "
+                                    f"--n-max <= {_exactcore.EXACT_CUTOFF}")
+    report = _report.Report(meta=_meta(args, target=args.target), header=_report.CSV_HEADER)
     for cert in _CERTIFY[args.target](args):
         report.results.append([cert.claim_id, cert.range.b_lo, cert.range.n_hi,
                                cert.status, cert.range.describe(), "", "", ""])
@@ -455,21 +467,21 @@ def cmd_certify(args) -> int:
 
 
 def cmd_smalldev(args) -> int:
-    report = Report(meta=_meta(args, target=args.target), header=CSV_HEADER)
+    report = _report.Report(meta=_meta(args, target=args.target), header=_report.CSV_HEADER)
     if args.target == "samuels":
-        report.violations.extend(verify_samuels(args.n_max))
+        report.violations.extend(_smalldev.verify_samuels(args.n_max))
         report.results.append(["samuels", 2, args.n_max, "scanned", "", "", "", ""])
     elif args.target == "conjecture":
-        conjecture_grid(args.n_max, args.grid_step)  # the guards, before the first row
+        _smalldev.conjecture_grid(args.n_max, args.grid_step)  # the guards, before the first row
         for n in range(2, args.n_max + 1):
-            result = conjecture_scan(n, args.grid_step)
+            result = _smalldev.conjecture_scan(n, args.grid_step)
             report.violations.extend(result.violations)
             report.results.append([
                 "conjecture", 0, n,
                 f"witnesses={len(result.equality_witnesses)}",
                 f"degenerate={result.degenerate_points}", "", "", ""])
     else:  # monotonicity: recorded signs, decreases listed but not violations
-        signs, decreases = tilde_p_monotonicity_scan(args.c, args.n_max)
+        signs, decreases = _smalldev.tilde_p_monotonicity_scan(args.c, args.n_max)
         increases = sum(1 for v in signs.values() if v > 0)
         report.results.append(["tilde-p-monotone", 1, args.n_max,
                                f"increases={increases}",
@@ -482,8 +494,8 @@ def cmd_smalldev(args) -> int:
 
 
 def cmd_report_merge(args) -> int:
-    reports = [Report.read(path) for path in args.inputs]
-    return _emit(merge_reports(reports), args)
+    reports = [_report.Report.read(path) for path in args.inputs]
+    return _emit(_report.merge_reports(reports), args)
 
 
 _COMMANDS = {
@@ -504,12 +516,12 @@ def main(argv=None) -> int:
     try:
         handler = _COMMANDS[args.command]
         return handler(args)
-    except ResourceError as exc:
-        print(f"binram: resource guard: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (DomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError is a ValueError
         print(f"binram: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _kernel.ResourceError as exc:  # read only here, so a usage error runs no kernel
+        print(f"binram: resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

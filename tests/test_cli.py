@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from binram import cli
+from binram import certificates, cli, exactcore, smalldev
 from binram.cli import main
 
 
@@ -100,7 +100,7 @@ def test_vacuous_runs_and_bad_workers_are_usage_errors(argv, capsys):
 
 
 def test_verify_n_max_one_still_covers_lemma1_at_b_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "moments_suite", lambda *a: pytest.fail("a suite ran"))
+    monkeypatch.setattr(certificates, "moments_suite", lambda *a: pytest.fail("a suite ran"))
     assert main(["verify", "--claims", "moments", "--n-max", "0"]) == 64  # before any suite
     capsys.readouterr()
     code, out = run_cli(["verify", "--claims", "lemma1", "--n-max", "1"], capsys)
@@ -157,7 +157,8 @@ def test_non_positive_grid_step_is_a_usage_error(step, capsys):
 def test_flags_a_target_does_not_read_are_usage_errors(command, target, flag, check,
                                                        monkeypatch, capsys):
     called = []
-    monkeypatch.setattr(cli, check, lambda *a, **k: called.append(a))
+    module = {"certify": certificates, "smalldev": smalldev}[command]  # the CLI reads it there
+    monkeypatch.setattr(module, check, lambda *a, **k: called.append(a))
     with pytest.raises(SystemExit) as exc:
         main([command, target, *flag])
     captured = capsys.readouterr()
@@ -202,7 +203,7 @@ def test_a_flag_prefix_at_its_own_level_still_parses(tmp_path, capsys):
 
 def test_conjecture_guard_trips_before_the_first_row(monkeypatch, capsys):
     scanned = []
-    monkeypatch.setattr(cli, "conjecture_scan", lambda n, step: scanned.append(n))
+    monkeypatch.setattr(smalldev, "conjecture_scan", lambda n, step: scanned.append(n))
     code = main(["smalldev", "conjecture", "--n-max", "61"])
     captured = capsys.readouterr()
     assert code == 64
@@ -341,7 +342,7 @@ def _kill_in_child(n):
     (_fail_in_child, "parent", "raised RuntimeError: row 12 failed"),
 ], ids=["child-raises", "child-exits-3", "child-killed", "parent-raises"])
 def test_a_failed_worker_exits_70_and_leaves_no_child(fault, where, what, monkeypatch, capsys):
-    parent, rows = os.getpid(), cli.p_diff_signs
+    parent, rows = os.getpid(), exactcore.p_diff_signs
 
     def row(n):
         # the fault runs only where it is meant to: never os._exit the test process
@@ -349,7 +350,7 @@ def test_a_failed_worker_exits_70_and_leaves_no_child(fault, where, what, monkey
             fault(n)
         return rows(n)
 
-    monkeypatch.setattr(cli, "p_diff_signs", row)
+    monkeypatch.setattr(exactcore, "p_diff_signs", row)
     code = main(["scan-p", "--n-max", "12", "--workers", "3"])
     captured = capsys.readouterr()
     assert code == 70
